@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-smoke experiments obs-smoke chaos-smoke overcommit-smoke
+.PHONY: all build vet lint test race bench bench-smoke experiments determinism-smoke
 
 all: build vet lint test
 
@@ -51,64 +51,26 @@ bench-smoke:
 experiments:
 	$(GO) run ./cmd/experiments -quick
 
-# Telemetry determinism check (DESIGN.md §8): a quick sweep serial and
-# with 4 workers must emit byte-identical RunRecord JSONL once
-# elapsed_ms — the one sanctioned nondeterministic field — is masked.
-# Covers the single-VM table1 set, the multi-tenant sweep (cross-VM
-# round-robin and churn events), and the migration sweep (pre-copy
-# rounds, guest hand-off, the migrate.* counter group), which also diffs
-# stdout with the wall-clock timing line masked.
-OBS_SMOKE_DIR ?= $(or $(TMPDIR),/tmp)
-obs-smoke:
-	$(GO) run ./cmd/experiments -quick -exp table1 -parallel 1 -telemetry $(OBS_SMOKE_DIR)/obs-serial.jsonl
-	$(GO) run ./cmd/experiments -quick -exp table1 -parallel 4 -telemetry $(OBS_SMOKE_DIR)/obs-parallel.jsonl
-	sed -E 's/"elapsed_ms":[0-9]+/"elapsed_ms":0/' $(OBS_SMOKE_DIR)/obs-serial.jsonl > $(OBS_SMOKE_DIR)/obs-serial.masked.jsonl
-	sed -E 's/"elapsed_ms":[0-9]+/"elapsed_ms":0/' $(OBS_SMOKE_DIR)/obs-parallel.jsonl > $(OBS_SMOKE_DIR)/obs-parallel.masked.jsonl
-	diff $(OBS_SMOKE_DIR)/obs-serial.masked.jsonl $(OBS_SMOKE_DIR)/obs-parallel.masked.jsonl
-	$(GO) run ./cmd/experiments -quick -exp multitenant -parallel 1 -telemetry $(OBS_SMOKE_DIR)/obs-mt-serial.jsonl
-	$(GO) run ./cmd/experiments -quick -exp multitenant -parallel 4 -telemetry $(OBS_SMOKE_DIR)/obs-mt-parallel.jsonl
-	sed -E 's/"elapsed_ms":[0-9]+/"elapsed_ms":0/' $(OBS_SMOKE_DIR)/obs-mt-serial.jsonl > $(OBS_SMOKE_DIR)/obs-mt-serial.masked.jsonl
-	sed -E 's/"elapsed_ms":[0-9]+/"elapsed_ms":0/' $(OBS_SMOKE_DIR)/obs-mt-parallel.jsonl > $(OBS_SMOKE_DIR)/obs-mt-parallel.masked.jsonl
-	diff $(OBS_SMOKE_DIR)/obs-mt-serial.masked.jsonl $(OBS_SMOKE_DIR)/obs-mt-parallel.masked.jsonl
-	$(GO) run ./cmd/experiments -quick -exp migration -parallel 1 -telemetry $(OBS_SMOKE_DIR)/obs-mig-serial.jsonl > $(OBS_SMOKE_DIR)/obs-mig-serial.out
-	$(GO) run ./cmd/experiments -quick -exp migration -parallel 4 -telemetry $(OBS_SMOKE_DIR)/obs-mig-parallel.jsonl > $(OBS_SMOKE_DIR)/obs-mig-parallel.out
-	sed -E 's/"elapsed_ms":[0-9]+/"elapsed_ms":0/' $(OBS_SMOKE_DIR)/obs-mig-serial.jsonl > $(OBS_SMOKE_DIR)/obs-mig-serial.masked.jsonl
-	sed -E 's/"elapsed_ms":[0-9]+/"elapsed_ms":0/' $(OBS_SMOKE_DIR)/obs-mig-parallel.jsonl > $(OBS_SMOKE_DIR)/obs-mig-parallel.masked.jsonl
-	diff $(OBS_SMOKE_DIR)/obs-mig-serial.masked.jsonl $(OBS_SMOKE_DIR)/obs-mig-parallel.masked.jsonl
-	sed -E 's/^    \([0-9.]+s\)$$/    (time)/' $(OBS_SMOKE_DIR)/obs-mig-serial.out > $(OBS_SMOKE_DIR)/obs-mig-serial.masked.out
-	sed -E 's/^    \([0-9.]+s\)$$/    (time)/' $(OBS_SMOKE_DIR)/obs-mig-parallel.out > $(OBS_SMOKE_DIR)/obs-mig-parallel.masked.out
-	diff $(OBS_SMOKE_DIR)/obs-mig-serial.masked.out $(OBS_SMOKE_DIR)/obs-mig-parallel.masked.out
-	@echo "obs-smoke: telemetry identical for 1 vs 4 workers (table1 + multitenant + migration)"
-
-# Chaos determinism check (DESIGN.md §11): the fault-injection sweep —
-# with a nonzero fault plan, injected host OOMs, retries, and
-# mid-migration faults — must emit byte-identical stdout and RunRecord
-# JSONL (faults.* and retry.* counters included) serial and with 4
-# workers, once elapsed_ms and the wall-clock timing line are masked.
-chaos-smoke:
-	$(GO) run ./cmd/experiments -quick -exp chaos -parallel 1 -telemetry $(OBS_SMOKE_DIR)/chaos-serial.jsonl > $(OBS_SMOKE_DIR)/chaos-serial.out
-	$(GO) run ./cmd/experiments -quick -exp chaos -parallel 4 -telemetry $(OBS_SMOKE_DIR)/chaos-parallel.jsonl > $(OBS_SMOKE_DIR)/chaos-parallel.out
-	sed -E 's/"elapsed_ms":[0-9]+/"elapsed_ms":0/' $(OBS_SMOKE_DIR)/chaos-serial.jsonl > $(OBS_SMOKE_DIR)/chaos-serial.masked.jsonl
-	sed -E 's/"elapsed_ms":[0-9]+/"elapsed_ms":0/' $(OBS_SMOKE_DIR)/chaos-parallel.jsonl > $(OBS_SMOKE_DIR)/chaos-parallel.masked.jsonl
-	diff $(OBS_SMOKE_DIR)/chaos-serial.masked.jsonl $(OBS_SMOKE_DIR)/chaos-parallel.masked.jsonl
-	sed -E 's/^    \([0-9.]+s\)$$/    (time)/' $(OBS_SMOKE_DIR)/chaos-serial.out > $(OBS_SMOKE_DIR)/chaos-serial.masked.out
-	sed -E 's/^    \([0-9.]+s\)$$/    (time)/' $(OBS_SMOKE_DIR)/chaos-parallel.out > $(OBS_SMOKE_DIR)/chaos-parallel.masked.out
-	diff $(OBS_SMOKE_DIR)/chaos-serial.masked.out $(OBS_SMOKE_DIR)/chaos-parallel.masked.out
-	@echo "chaos-smoke: fault-injected sweep identical for 1 vs 4 workers"
-
-# Overcommit determinism check (DESIGN.md §12): the ballooned sweep —
-# watermark sampling, victim selection, reservation-breaking reclaim and
-# swap-out under 1.25×–2× oversubscription — must emit byte-identical
-# stdout and RunRecord JSONL (balloon.* counters included) serial and
-# with 4 workers, once elapsed_ms and the wall-clock timing line are
-# masked.
-overcommit-smoke:
-	$(GO) run ./cmd/experiments -quick -exp overcommit -parallel 1 -telemetry $(OBS_SMOKE_DIR)/oc-serial.jsonl > $(OBS_SMOKE_DIR)/oc-serial.out
-	$(GO) run ./cmd/experiments -quick -exp overcommit -parallel 4 -telemetry $(OBS_SMOKE_DIR)/oc-parallel.jsonl > $(OBS_SMOKE_DIR)/oc-parallel.out
-	sed -E 's/"elapsed_ms":[0-9]+/"elapsed_ms":0/' $(OBS_SMOKE_DIR)/oc-serial.jsonl > $(OBS_SMOKE_DIR)/oc-serial.masked.jsonl
-	sed -E 's/"elapsed_ms":[0-9]+/"elapsed_ms":0/' $(OBS_SMOKE_DIR)/oc-parallel.jsonl > $(OBS_SMOKE_DIR)/oc-parallel.masked.jsonl
-	diff $(OBS_SMOKE_DIR)/oc-serial.masked.jsonl $(OBS_SMOKE_DIR)/oc-parallel.masked.jsonl
-	sed -E 's/^    \([0-9.]+s\)$$/    (time)/' $(OBS_SMOKE_DIR)/oc-serial.out > $(OBS_SMOKE_DIR)/oc-serial.masked.out
-	sed -E 's/^    \([0-9.]+s\)$$/    (time)/' $(OBS_SMOKE_DIR)/oc-parallel.out > $(OBS_SMOKE_DIR)/oc-parallel.masked.out
-	diff $(OBS_SMOKE_DIR)/oc-serial.masked.out $(OBS_SMOKE_DIR)/oc-parallel.masked.out
-	@echo "overcommit-smoke: ballooned sweep identical for 1 vs 4 workers"
+# Determinism check (DESIGN.md §8, §11, §12): each quick sweep below, run
+# serially and with 4 workers, must emit byte-identical RunRecord JSONL
+# once elapsed_ms — the one sanctioned nondeterministic field — is masked,
+# and byte-identical stdout once the wall-clock timing line is masked.
+# table1 covers the single-VM path; multitenant the cross-VM round-robin
+# and churn events; migration the pre-copy rounds and guest hand-off;
+# chaos a nonzero fault plan with injected host OOMs, retries and
+# mid-migration faults; overcommit watermark ballooning, victim selection
+# and reservation-breaking reclaim.
+SMOKE_DIR ?= $(or $(TMPDIR),/tmp)
+determinism-smoke:
+	$(GO) build -o $(SMOKE_DIR)/ptm-experiments ./cmd/experiments
+	@set -e; for exp in table1 multitenant migration chaos overcommit; do \
+		for p in 1 4; do \
+			$(SMOKE_DIR)/ptm-experiments -quick -exp $$exp -parallel $$p \
+				-telemetry $(SMOKE_DIR)/$$exp-$$p.jsonl > $(SMOKE_DIR)/$$exp-$$p.out; \
+			sed -E 's/"elapsed_ms":[0-9]+/"elapsed_ms":0/' $(SMOKE_DIR)/$$exp-$$p.jsonl > $(SMOKE_DIR)/$$exp-$$p.masked.jsonl; \
+			sed -E 's/^    \([0-9.]+s\)$$/    (time)/' $(SMOKE_DIR)/$$exp-$$p.out > $(SMOKE_DIR)/$$exp-$$p.masked.out; \
+		done; \
+		diff $(SMOKE_DIR)/$$exp-1.masked.jsonl $(SMOKE_DIR)/$$exp-4.masked.jsonl; \
+		diff $(SMOKE_DIR)/$$exp-1.masked.out $(SMOKE_DIR)/$$exp-4.masked.out; \
+		echo "determinism-smoke: $$exp identical for 1 vs 4 workers"; \
+	done

@@ -225,11 +225,11 @@ func (s stepOnly) InitDone() bool                                  { return s.p.
 func benchPipeline(b *testing.B, legacy bool) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		cfg := ptemagnet.DefaultMachineConfig()
-		cfg.HostMemBytes = 256 << 20
-		cfg.GuestMemBytes = 128 << 20
-		cfg.Quantum = 256
-		m, err := ptemagnet.NewMachine(cfg)
+		m, err := ptemagnet.NewMachine(ptemagnet.MachineConfig{
+			HostMemBytes: 256 << 20,
+			Quantum:      256,
+			Guests:       []ptemagnet.TenantConfig{{MemBytes: 128 << 20}},
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func benchPipeline(b *testing.B, legacy bool) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if err := m.Run(ptemagnet.RunOptions{}); err != nil {
+		if err := m.RunWith(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

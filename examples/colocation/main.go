@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,11 +18,12 @@ import (
 // run executes pagerank (optionally colocated) and reports its steady-state
 // cycles plus the walker's host-dimension behaviour.
 func run(colocated bool) (ptemagnet.TaskReport, uint64, uint64) {
-	cfg := ptemagnet.DefaultMachineConfig()
-	cfg.HostMemBytes = 128 << 20
-	cfg.GuestMemBytes = 64 << 20
-	cfg.Quantum = 2 // aggressive fault interleaving across vCPUs
-	cfg.Seed = 7
+	cfg := ptemagnet.MachineConfig{
+		HostMemBytes: 128 << 20,
+		NumCPUs:      8,
+		Quantum:      2, // aggressive fault interleaving across vCPUs
+		Guests:       []ptemagnet.TenantConfig{{MemBytes: 64 << 20, Seed: 7}},
+	}
 	// Shrink the caches along with the 12MB dataset so the footprint-to-
 	// LLC ratio stays in the regime the paper studies (16GB vs 25MB).
 	cfg.Cache = ptemagnet.DefaultCacheConfig(cfg.NumCPUs)
@@ -49,7 +51,7 @@ func run(colocated bool) (ptemagnet.TaskReport, uint64, uint64) {
 	// §3.3 methodology: the co-runner stops the moment pagerank finishes
 	// allocating, so the steady phase has no cache contention — only the
 	// fragmentation the hog caused survives.
-	if err := m.Run(ptemagnet.RunOptions{StopCorunnersAtPrimaryInit: true}); err != nil {
+	if err := m.RunWith(context.Background(), ptemagnet.WithStopCorunnersAtInit(true)); err != nil {
 		log.Fatal(err)
 	}
 	walk := m.Observe().Steady.Walker

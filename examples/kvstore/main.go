@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -112,12 +113,12 @@ func (k *kvstore) Step(env ptemagnet.Env) (ptemagnet.Access, bool) {
 }
 
 func run(policy ptemagnet.AllocPolicy) (uint64, float64) {
-	cfg := ptemagnet.DefaultMachineConfig()
-	cfg.HostMemBytes = 128 << 20
-	cfg.GuestMemBytes = 64 << 20
-	cfg.Policy = policy
-	cfg.Quantum = 2
-	cfg.Seed = 21
+	cfg := ptemagnet.MachineConfig{
+		HostMemBytes: 128 << 20,
+		NumCPUs:      8,
+		Quantum:      2,
+		Guests:       []ptemagnet.TenantConfig{{MemBytes: 64 << 20, Policy: policy, Seed: 21}},
+	}
 	cfg.Cache = ptemagnet.DefaultCacheConfig(cfg.NumCPUs)
 	cfg.Cache.L2.SizeBytes = 64 << 10
 	cfg.Cache.LLC.SizeBytes = 128 << 10
@@ -133,7 +134,7 @@ func run(policy ptemagnet.AllocPolicy) (uint64, float64) {
 	if _, err := m.AddTask(noisy, ptemagnet.RoleCorunner); err != nil {
 		log.Fatal(err)
 	}
-	if err := m.Run(ptemagnet.RunOptions{}); err != nil {
+	if err := m.RunWith(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 	rep := m.Report()[0]

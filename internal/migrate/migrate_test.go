@@ -125,14 +125,14 @@ func TestMigrationEquivalence(t *testing.T) {
 	for _, policy := range []guestos.AllocPolicy{guestos.PolicyDefault, guestos.PolicyPTEMagnet} {
 		t.Run(policy.String(), func(t *testing.T) {
 			baseline := buildSource(t, policy)
-			if err := baseline.Run(vm.RunOptions{}); err != nil {
+			if err := baseline.RunWith(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			want := imageOf(baseline.Guests()[0])
 
 			src := buildSource(t, policy)
 			const k = 10_000
-			if err := src.Run(vm.RunOptions{StopAtAccesses: k}); err != nil {
+			if err := src.RunWith(context.Background(), vm.WithStopAtAccesses(k)); err != nil {
 				t.Fatal(err)
 			}
 			if src.PendingPrimaries() == 0 {
@@ -152,7 +152,7 @@ func TestMigrationEquivalence(t *testing.T) {
 			if g.Machine() != dst || !g.Alive() {
 				t.Fatal("guest not adopted by destination")
 			}
-			if err := dst.Run(vm.RunOptions{}); err != nil {
+			if err := dst.RunWith(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			got := imageOf(g)
@@ -190,7 +190,7 @@ func TestMigrationEquivalence(t *testing.T) {
 // the destination holds no leftover VM or frames.
 func TestMigrateCancelMidRound(t *testing.T) {
 	src := buildSource(t, guestos.PolicyDefault)
-	if err := src.Run(vm.RunOptions{StopAtAccesses: 8000}); err != nil {
+	if err := src.RunWith(context.Background(), vm.WithStopAtAccesses(8000)); err != nil {
 		t.Fatal(err)
 	}
 	dst := buildDestination(t, 128<<20)
@@ -242,7 +242,7 @@ func TestMigrateCancelMidRound(t *testing.T) {
 	if !g.Alive() || g.Machine() != src {
 		t.Fatal("source guest damaged by aborted migration")
 	}
-	if err := src.Run(vm.RunOptions{}); err != nil {
+	if err := src.RunWith(context.Background()); err != nil {
 		t.Fatalf("source run after aborted migration: %v", err)
 	}
 }
@@ -251,7 +251,7 @@ func TestMigrateCancelMidRound(t *testing.T) {
 // and verifies the typed OOM surface plus full rollback.
 func TestMigrateDestinationOOM(t *testing.T) {
 	src := buildSource(t, guestos.PolicyDefault)
-	if err := src.Run(vm.RunOptions{StopAtAccesses: 8000}); err != nil {
+	if err := src.RunWith(context.Background(), vm.WithStopAtAccesses(8000)); err != nil {
 		t.Fatal(err)
 	}
 	// 4MB of host memory cannot hold the ~4MB dataset plus co-runner and
@@ -284,7 +284,7 @@ func TestMigrateDestinationOOM(t *testing.T) {
 	if !g.Alive() || g.Machine() != src {
 		t.Fatal("source guest damaged by failed migration")
 	}
-	if err := src.Run(vm.RunOptions{}); err != nil {
+	if err := src.RunWith(context.Background()); err != nil {
 		t.Fatalf("source run after failed migration: %v", err)
 	}
 }
@@ -293,7 +293,7 @@ func TestMigrateDestinationOOM(t *testing.T) {
 // counter registries are built cannot take part in a migration.
 func TestMigrateFrozenRegistryRefused(t *testing.T) {
 	src := buildSource(t, guestos.PolicyDefault)
-	if err := src.Run(vm.RunOptions{StopAtAccesses: 4000}); err != nil {
+	if err := src.RunWith(context.Background(), vm.WithStopAtAccesses(4000)); err != nil {
 		t.Fatal(err)
 	}
 	dst := buildDestination(t, 128<<20)

@@ -294,20 +294,16 @@ func runChaosJob(ctx context.Context, j chaosJob, st *chaosState) (res ChaosRunR
 	if j.migration {
 		return runChaosMigration(ctx, stop, j, plan, st)
 	}
-	var mod func(*vm.Config)
+	hc := hostConfig(j.base.Scale)
 	if j.balloon {
-		mod = func(cfg *vm.Config) { cfg.Balloon = balloon.Config{Enabled: true} }
+		hc.Balloon = balloon.Config{Enabled: true}
 	}
-	m, err := buildMachine(j.base, mod)
+	m, err := buildMachine(j.base, hc)
 	if err != nil {
 		return ChaosRunResult{}, err
 	}
 	m.InstallFaultPlan(plan)
-	sampleEvery := j.base.Scale.Accesses / 64
-	if sampleEvery == 0 {
-		sampleEvery = 1024
-	}
-	if err := m.RunWith(ctx, vm.WithSampleEvery(sampleEvery)); err != nil {
+	if err := m.RunWith(ctx, vm.WithSampleEvery(sampleEvery(j.base.SampleEvery, j.base.Scale))); err != nil {
 		return ChaosRunResult{}, err
 	}
 	report := m.Observe()

@@ -11,7 +11,6 @@ import (
 	"ptemagnet/internal/faults"
 	"ptemagnet/internal/guestos"
 	"ptemagnet/internal/obs"
-	"ptemagnet/internal/vm"
 )
 
 // collectChaosRecords runs the chaos sweep through an engine with the
@@ -232,29 +231,5 @@ func TestChaosForcedDirtyLogOverflowHitsRescan(t *testing.T) {
 	if clean.LogOverflows >= forced.LogOverflows {
 		t.Errorf("forced run overflowed %d times, clean run %d — forcing had no effect",
 			forced.LogOverflows, clean.LogOverflows)
-	}
-}
-
-// TestVMRunOptsMatchDeprecatedStruct pins satellite parity between the
-// options vocabulary and the deprecated RunOptions struct: the same run
-// expressed both ways lands on identical counters.
-func TestVMRunOptsMatchDeprecatedStruct(t *testing.T) {
-	s := Scenario{Benchmark: "gcc", Scale: QuickScale(), Seed: testSeed}
-	m1, err := BuildMachine(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m1.RunWith(context.Background(), vm.WithSampleEvery(2048), vm.WithStopAtAccesses(50_000)); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := BuildMachine(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m2.RunContext(context.Background(), vm.RunOptions{SampleEvery: 2048, StopAtAccesses: 50_000}); err != nil {
-		t.Fatal(err)
-	}
-	if a, b := m1.Registry().Snapshot(), m2.Registry().Snapshot(); !reflect.DeepEqual(a, b) {
-		t.Errorf("options run diverges from struct run:\noptions: %+v\nstruct:  %+v", a, b)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"strings"
 
-	"ptemagnet/internal/cache"
 	"ptemagnet/internal/engine"
 	"ptemagnet/internal/guestos"
 	"ptemagnet/internal/metrics"
@@ -98,21 +97,7 @@ func migrationSource(s MigrationScenario) (*vm.Machine, error) {
 // same schedule, plus one default-policy pressure tenant that keeps the
 // host busy while the migrated guest finishes.
 func migrationDestination(s MigrationScenario) (*vm.Machine, error) {
-	hc := vm.HostConfig{
-		HostMemBytes: s.Scale.HostMemBytes,
-		// Quantum 2 matches BuildMachine: aggressive fault interleaving.
-		Quantum: 2,
-	}
-	if s.Scale.LLCBytes != 0 || s.Scale.L2Bytes != 0 {
-		cc := cache.DefaultConfig(8)
-		if s.Scale.LLCBytes != 0 {
-			cc.LLC.SizeBytes = s.Scale.LLCBytes
-		}
-		if s.Scale.L2Bytes != 0 {
-			cc.L2.SizeBytes = s.Scale.L2Bytes
-		}
-		hc.Cache = cc
-	}
+	hc := hostConfig(s.Scale)
 	hc.Guests = []vm.GuestConfig{{
 		MemBytes: s.Scale.GuestMemBytes,
 		Policy:   guestos.PolicyDefault,

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"strings"
 
-	"ptemagnet/internal/cache"
 	"ptemagnet/internal/engine"
 	"ptemagnet/internal/guestos"
 	"ptemagnet/internal/metrics"
@@ -84,26 +83,12 @@ type MultiResult struct {
 
 // BuildMultiMachine assembles the shared host and every tenant's guest
 // stack and tasks without running — for callers that need to inspect or
-// trace before Run.
+// trace before RunWith.
 func BuildMultiMachine(s MultiScenario) (*vm.Machine, error) {
 	if len(s.Tenants) == 0 {
 		return nil, fmt.Errorf("sim: multi-tenant scenario needs at least one tenant")
 	}
-	hc := vm.HostConfig{
-		HostMemBytes: s.Scale.HostMemBytes,
-		// Quantum 2 matches BuildMachine: aggressive fault interleaving.
-		Quantum: 2,
-	}
-	if s.Scale.LLCBytes != 0 || s.Scale.L2Bytes != 0 {
-		cc := cache.DefaultConfig(8)
-		if s.Scale.LLCBytes != 0 {
-			cc.LLC.SizeBytes = s.Scale.LLCBytes
-		}
-		if s.Scale.L2Bytes != 0 {
-			cc.L2.SizeBytes = s.Scale.L2Bytes
-		}
-		hc.Cache = cc
-	}
+	hc := hostConfig(s.Scale)
 	for i, t := range s.Tenants {
 		hc.Guests = append(hc.Guests, vm.GuestConfig{
 			MemBytes: s.Scale.GuestMemBytes,
@@ -194,14 +179,7 @@ func RunMultiCtx(ctx context.Context, s MultiScenario) (MultiResult, error) {
 	if err != nil {
 		return MultiResult{}, err
 	}
-	sampleEvery := s.SampleEvery
-	if sampleEvery == 0 {
-		sampleEvery = s.Scale.Accesses / 64
-		if sampleEvery == 0 {
-			sampleEvery = 1024
-		}
-	}
-	opts := []vm.RunOpt{vm.WithSampleEvery(sampleEvery)}
+	opts := []vm.RunOpt{vm.WithSampleEvery(sampleEvery(s.SampleEvery, s.Scale))}
 	if s.Churn {
 		opts = append(opts, vm.WithEvents(churnEvents(s)...))
 	}

@@ -16,7 +16,6 @@ import (
 
 	"ptemagnet/internal/arch"
 	"ptemagnet/internal/balloon"
-	"ptemagnet/internal/cache"
 	"ptemagnet/internal/engine"
 	"ptemagnet/internal/guestos"
 	"ptemagnet/internal/metrics"
@@ -113,22 +112,9 @@ func BuildOvercommitMachine(s OvercommitScenario) (*vm.Machine, error) {
 		return nil, fmt.Errorf("sim: overcommit ratio %d%% is not overcommitted", s.RatioPct)
 	}
 	tenants := overcommitTenants(s)
-	hc := vm.HostConfig{
-		HostMemBytes: overcommitHostBytes(tenants, s.RatioPct),
-		// Quantum 2 matches BuildMachine: aggressive fault interleaving.
-		Quantum: 2,
-		Balloon: balloon.Config{Enabled: true},
-	}
-	if s.Scale.LLCBytes != 0 || s.Scale.L2Bytes != 0 {
-		cc := cache.DefaultConfig(8)
-		if s.Scale.LLCBytes != 0 {
-			cc.LLC.SizeBytes = s.Scale.LLCBytes
-		}
-		if s.Scale.L2Bytes != 0 {
-			cc.L2.SizeBytes = s.Scale.L2Bytes
-		}
-		hc.Cache = cc
-	}
+	hc := hostConfig(s.Scale)
+	hc.HostMemBytes = overcommitHostBytes(tenants, s.RatioPct)
+	hc.Balloon = balloon.Config{Enabled: true}
 	for i, t := range tenants {
 		hc.Guests = append(hc.Guests, vm.GuestConfig{
 			MemBytes: t.memBytes,
@@ -184,14 +170,7 @@ func RunOvercommitScenarioCtx(ctx context.Context, s OvercommitScenario) (Overco
 	if err != nil {
 		return OvercommitRunResult{}, err
 	}
-	sampleEvery := s.SampleEvery
-	if sampleEvery == 0 {
-		sampleEvery = s.Scale.Accesses / 64
-		if sampleEvery == 0 {
-			sampleEvery = 1024
-		}
-	}
-	if err := m.RunWith(ctx, vm.WithSampleEvery(sampleEvery)); err != nil {
+	if err := m.RunWith(ctx, vm.WithSampleEvery(sampleEvery(s.SampleEvery, s.Scale))); err != nil {
 		return OvercommitRunResult{}, err
 	}
 	report := m.Observe()

@@ -40,18 +40,6 @@ type ExperimentInfo struct {
 	InAll bool
 }
 
-// ExperimentOptions carries the optional knobs of RunExperimentOpts.
-//
-// Deprecated: use RunExperiment's functional options (WithEngine,
-// WithVMCounts) instead.
-type ExperimentOptions struct {
-	// Engine runs the experiment's scenarios (nil = default settings).
-	Engine *engine.Engine
-	// VMCounts narrows the multitenant sweep (nil = the full sweep);
-	// ignored by every other experiment.
-	VMCounts []int
-}
-
 // DefaultSeed is the seed RunExperiment uses when WithSeed is absent —
 // the same default cmd/experiments ships, so programmatic and CLI runs
 // of an experiment agree by default.
@@ -311,12 +299,4 @@ func RunExperiment(ctx context.Context, name string, opts ...RunOpt) (Experiment
 		}
 	}
 	return nil, fmt.Errorf("sim: unknown experiment %q", name)
-}
-
-// RunExperimentOpts is the pre-options positional entry point.
-//
-// Deprecated: use RunExperiment with WithEngine, WithVMCounts, WithScale
-// and WithSeed options.
-func RunExperimentOpts(ctx context.Context, name string, opts ExperimentOptions, sc Scale, seed int64) (ExperimentResult, error) {
-	return RunExperiment(ctx, name, WithEngine(opts.Engine), WithVMCounts(opts.VMCounts...), WithScale(sc), WithSeed(seed))
 }

@@ -209,42 +209,58 @@ type Result struct {
 
 // BuildMachine assembles the machine and tasks for a scenario without
 // running it — for callers that need to attach a tracer or inspect state
-// before Run.
+// before RunWith.
 func BuildMachine(s Scenario) (*vm.Machine, error) {
-	return buildMachine(s, nil)
+	return buildMachine(s, hostConfig(s.Scale))
 }
 
-// buildMachine is BuildMachine with a final configuration hook: mod, when
-// non-nil, edits the assembled vm.Config before the machine is built.
-// Internal callers use it for knobs deliberately kept out of Scenario
-// (whose %+v rendering is a frozen telemetry fingerprint).
-func buildMachine(s Scenario, mod func(*vm.Config)) (*vm.Machine, error) {
-	cfg := vm.DefaultConfig()
-	cfg.HostMemBytes = s.Scale.HostMemBytes
-	cfg.GuestMemBytes = s.Scale.GuestMemBytes
-	cfg.Policy = s.Policy
-	cfg.Magnet = s.Magnet
-	cfg.EnableThresholdBytes = s.EnableThresholdBytes
-	cfg.ReclaimWatermark = s.ReclaimWatermark
-	cfg.Seed = s.Seed
-	cfg.PTLevels = s.PTLevels
-	// Quantum 2: aggressive fault interleaving, approximating truly
-	// concurrent threads on separate cores (calibrated against Table 1).
-	cfg.Quantum = 2
-	if s.Scale.LLCBytes != 0 || s.Scale.L2Bytes != 0 {
-		cc := cache.DefaultConfig(cfg.NumCPUs)
-		if s.Scale.LLCBytes != 0 {
-			cc.LLC.SizeBytes = s.Scale.LLCBytes
+// hostConfig sizes the shared host every experiment machine runs on: the
+// scale's host memory, the default eight vCPUs, the scale's LLC/L2
+// override, and Quantum 2 — aggressive fault interleaving, approximating
+// truly concurrent threads on separate cores (calibrated against Table 1).
+// Callers append the guests and arm per-experiment knobs (balloon, host
+// size) on the result.
+func hostConfig(sc Scale) vm.HostConfig {
+	hc := vm.HostConfig{HostMemBytes: sc.HostMemBytes, Quantum: 2}
+	if sc.LLCBytes != 0 || sc.L2Bytes != 0 {
+		cc := cache.DefaultConfig(8)
+		if sc.LLCBytes != 0 {
+			cc.LLC.SizeBytes = sc.LLCBytes
 		}
-		if s.Scale.L2Bytes != 0 {
-			cc.L2.SizeBytes = s.Scale.L2Bytes
+		if sc.L2Bytes != 0 {
+			cc.L2.SizeBytes = sc.L2Bytes
 		}
-		cfg.Cache = cc
+		hc.Cache = cc
 	}
-	if mod != nil {
-		mod(&cfg)
+	return hc
+}
+
+// sampleEvery resolves the §6.2 gauge period: n when set, else 64 samples
+// over the primary's access budget (every 1024 accesses for a tiny one).
+func sampleEvery(n uint64, sc Scale) uint64 {
+	if n != 0 {
+		return n
 	}
-	m, err := vm.New(cfg)
+	if every := sc.Accesses / 64; every != 0 {
+		return every
+	}
+	return 1024
+}
+
+// buildMachine boots s as the single guest of host hc and adds its tasks.
+// Internal callers pass a host with knobs deliberately kept out of
+// Scenario (whose %+v rendering is a frozen telemetry fingerprint).
+func buildMachine(s Scenario, hc vm.HostConfig) (*vm.Machine, error) {
+	hc.PTLevels = s.PTLevels
+	hc.Guests = []vm.GuestConfig{{
+		MemBytes:             s.Scale.GuestMemBytes,
+		Policy:               s.Policy,
+		Magnet:               s.Magnet,
+		EnableThresholdBytes: s.EnableThresholdBytes,
+		ReclaimWatermark:     s.ReclaimWatermark,
+		Seed:                 s.Seed,
+	}}
+	m, err := vm.NewHost(hc)
 	if err != nil {
 		return nil, err
 	}
@@ -283,16 +299,9 @@ func RunCtx(ctx context.Context, s Scenario) (Result, error) {
 		return Result{}, err
 	}
 	task := m.Tasks()[0]
-	sampleEvery := s.SampleEvery
-	if sampleEvery == 0 {
-		sampleEvery = s.Scale.Accesses / 64
-		if sampleEvery == 0 {
-			sampleEvery = 1024
-		}
-	}
 	if err := m.RunWith(ctx,
 		vm.WithStopCorunnersAtInit(s.StopCorunnersAtInit),
-		vm.WithSampleEvery(sampleEvery)); err != nil {
+		vm.WithSampleEvery(sampleEvery(s.SampleEvery, s.Scale))); err != nil {
 		return Result{}, err
 	}
 	report := m.Observe()

@@ -1,7 +1,7 @@
 package vm
 
 import (
-	"errors"
+	"context"
 	"reflect"
 	"testing"
 
@@ -39,7 +39,7 @@ func (s *streamTracer) Fault(task int, va arch.VirtAddr, kind uint8, seq uint64)
 func buildColocated(t *testing.T, legacy bool) (*Machine, *streamTracer) {
 	t.Helper()
 	cfg := smallConfig(guestos.PolicyPTEMagnet)
-	m, err := New(cfg)
+	m, err := NewHost(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +72,10 @@ func buildColocated(t *testing.T, legacy bool) (*Machine, *streamTracer) {
 func TestBatchedRunMatchesAdapterRun(t *testing.T) {
 	run := func(legacy bool) ([]TaskReport, any, any, *streamTracer) {
 		m, tr := buildColocated(t, legacy)
-		if err := m.Run(RunOptions{SampleEvery: 64}); err != nil {
+		if err := m.RunWith(context.Background(), WithSampleEvery(64)); err != nil {
 			t.Fatal(err)
 		}
-		return m.Report(), m.Observe().Steady.Walker, m.Guest().Snapshot(), tr
+		return m.Report(), m.Observe().Steady.Walker, m.Guests()[0].Kernel().Snapshot(), tr
 	}
 	repB, walkB, guestB, trB := run(false)
 	repA, walkA, guestA, trA := run(true)
@@ -104,7 +104,7 @@ func TestBatchedRunMatchesAdapterRun(t *testing.T) {
 func TestMaxAccessesBoundary(t *testing.T) {
 	cfg := smallConfig(guestos.PolicyDefault)
 	cfg.Quantum = 8
-	m, err := New(cfg)
+	m, err := NewHost(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestMaxAccessesBoundary(t *testing.T) {
 	}
 	// One solo task executes exactly Quantum accesses per round; a budget of
 	// exactly one round must already trip the guard.
-	if err := m.Run(RunOptions{MaxAccesses: 8}); err == nil {
+	if err := m.RunWith(context.Background(), WithMaxAccesses(8)); err == nil {
 		t.Fatal("budget of one round not enforced")
 	}
 	if m.totalAccesses != 8 {
@@ -121,62 +121,34 @@ func TestMaxAccessesBoundary(t *testing.T) {
 	}
 }
 
+// TestConfigValidate covers the per-field rules of a single-guest config
+// and that zero-valued optional fields are defaults, not errors.
 func TestConfigValidate(t *testing.T) {
-	base := smallConfig(guestos.PolicyDefault)
-	cases := []struct {
-		name   string
-		mutate func(*Config)
-		field  string
-	}{
-		{"zero host mem", func(c *Config) { c.HostMemBytes = 0 }, "HostMemBytes"},
-		{"zero guest mem", func(c *Config) { c.GuestMemBytes = 0 }, "GuestMemBytes"},
-		{"guest exceeds host", func(c *Config) { c.GuestMemBytes = c.HostMemBytes * 2 }, "GuestMemBytes"},
-		{"negative cpus", func(c *Config) { c.NumCPUs = -1 }, "NumCPUs"},
-		{"negative quantum", func(c *Config) { c.Quantum = -4 }, "Quantum"},
-		{"bad levels", func(c *Config) { c.PTLevels = 3 }, "PTLevels"},
-		{"watermark too high", func(c *Config) { c.ReclaimWatermark = 1.5 }, "ReclaimWatermark"},
-		{"bad magnet", func(c *Config) { c.Magnet.GroupPages = 3 }, "GroupPages"},
-	}
-	for _, tc := range cases {
-		cfg := base
-		tc.mutate(&cfg)
-		err := cfg.Validate()
-		if err == nil {
-			t.Errorf("%s: Validate = nil, want error", tc.name)
-			continue
-		}
-		var cerr *ConfigError
-		if !errors.As(err, &cerr) {
-			t.Errorf("%s: error %v is not a *ConfigError", tc.name, err)
-		} else if cerr.Field != tc.field {
-			t.Errorf("%s: Field = %q, want %q", tc.name, cerr.Field, tc.field)
-		}
-		if _, nerr := New(cfg); nerr == nil {
-			t.Errorf("%s: New accepted an invalid config", tc.name)
-		}
-	}
-	// Zero values of optional fields are defaults, not errors.
-	zero := Config{HostMemBytes: 128 << 20, GuestMemBytes: 64 << 20}
-	if err := zero.Validate(); err != nil {
-		t.Errorf("zero-value optional fields rejected: %v", err)
-	}
-	if _, err := New(zero); err != nil {
-		t.Errorf("New with zero-value optional fields failed: %v", err)
-	}
+	checkConfigCases(t, []configCase{
+		{"zero host mem", func(c *HostConfig) { c.HostMemBytes = 0 }, "HostMemBytes"},
+		{"zero guest mem", func(c *HostConfig) { c.Guests[0].MemBytes = 0 }, "Guests[0].MemBytes"},
+		{"guest exceeds host", func(c *HostConfig) { c.Guests[0].MemBytes = c.HostMemBytes * 2 }, "Guests[0].MemBytes"},
+		{"negative cpus", func(c *HostConfig) { c.NumCPUs = -1 }, "NumCPUs"},
+		{"negative quantum", func(c *HostConfig) { c.Quantum = -4 }, "Quantum"},
+		{"bad levels", func(c *HostConfig) { c.PTLevels = 3 }, "PTLevels"},
+		{"watermark too high", func(c *HostConfig) { c.Guests[0].ReclaimWatermark = 1.5 }, "Guests[0].ReclaimWatermark"},
+		{"bad magnet", func(c *HostConfig) { c.Guests[0].Magnet.GroupPages = 3 }, "GroupPages"},
+		{"zero optional fields", func(c *HostConfig) {
+			*c = HostConfig{HostMemBytes: 128 << 20, Guests: []GuestConfig{{MemBytes: 64 << 20}}}
+		}, ""},
+	})
 }
 
 // benchMachine builds a large-quantum machine running pagerank solo, the
 // configuration where batching amortization shows.
 func benchMachine(b *testing.B, legacy bool) *Machine {
 	b.Helper()
-	cfg := Config{
-		HostMemBytes:  256 << 20,
-		GuestMemBytes: 128 << 20,
-		NumCPUs:       4,
-		Quantum:       256,
-		Seed:          42,
-	}
-	m, err := New(cfg)
+	m, err := NewHost(HostConfig{
+		HostMemBytes: 256 << 20,
+		NumCPUs:      4,
+		Quantum:      256,
+		Guests:       []GuestConfig{{MemBytes: 128 << 20, Seed: 42}},
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -198,7 +170,7 @@ func benchLoop(b *testing.B, legacy bool) {
 		b.StopTimer()
 		m := benchMachine(b, legacy)
 		b.StartTimer()
-		if err := m.Run(RunOptions{}); err != nil {
+		if err := m.RunWith(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 		total += m.totalAccesses

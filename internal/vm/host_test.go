@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -10,8 +12,8 @@ import (
 
 // hostConfig2 builds a fast two-guest host for tests.
 func hostConfig2(policies ...guestos.AllocPolicy) HostConfig {
-	hc := smallConfig(guestos.PolicyDefault).Host()
-	hc.Guests = hc.Guests[:0]
+	hc := smallConfig(guestos.PolicyDefault)
+	hc.Guests = nil
 	for i, p := range policies {
 		hc.Guests = append(hc.Guests, GuestConfig{
 			MemBytes: 64 << 20,
@@ -20,54 +22,6 @@ func hostConfig2(policies ...guestos.AllocPolicy) HostConfig {
 		})
 	}
 	return hc
-}
-
-// TestHostConfigSingleGuestEquivalence is the pinned N=1 proof: building
-// through HostConfig{Guests: [1]} and through the legacy Config must
-// produce identical machines — same Report, same Snapshot, same telemetry
-// names.
-func TestHostConfigSingleGuestEquivalence(t *testing.T) {
-	run := func(viaHost bool) (*Machine, Report) {
-		cfg := smallConfig(guestos.PolicyPTEMagnet)
-		var m *Machine
-		var err error
-		if viaHost {
-			m, err = NewHost(cfg.Host())
-		} else {
-			m, err = New(cfg)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.AddTask(workload.NewPagerank(smallGraph(1)), RolePrimary); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.AddTask(workload.NewPyaes(workload.CorunnerConfig{FootprintBytes: 2 << 20, Seed: 7}), RoleCorunner); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Run(RunOptions{SampleEvery: 512}); err != nil {
-			t.Fatal(err)
-		}
-		return m, m.Observe()
-	}
-	mLegacy, repLegacy := run(false)
-	mHost, repHost := run(true)
-	if !reflect.DeepEqual(repLegacy, repHost) {
-		t.Errorf("reports differ:\nlegacy: %+v\nhost:   %+v", repLegacy, repHost)
-	}
-	if !reflect.DeepEqual(mLegacy.Snapshot(), mHost.Snapshot()) {
-		t.Errorf("snapshots differ")
-	}
-	namesL := mLegacy.Registry().Names()
-	namesH := mHost.Registry().Names()
-	if !reflect.DeepEqual(namesL, namesH) {
-		t.Errorf("registry names differ: %v vs %v", namesL, namesH)
-	}
-	for _, name := range namesL {
-		if len(name) >= 2 && name[0] == 'v' && name[1] == 'm' {
-			t.Errorf("single-guest machine registered prefixed counter %q", name)
-		}
-	}
 }
 
 // runTwoGuests builds and runs a two-guest host with one primary and one
@@ -86,7 +40,7 @@ func runTwoGuests(t *testing.T) *Machine {
 			t.Fatal(err)
 		}
 	}
-	if err := m.Run(RunOptions{}); err != nil {
+	if err := m.RunWith(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	return m
@@ -198,7 +152,7 @@ func TestGuestChurn(t *testing.T) {
 			return nil
 		}},
 	}
-	if err := m.Run(RunOptions{Events: events}); err != nil {
+	if err := m.RunWith(context.Background(), WithEvents(events...)); err != nil {
 		t.Fatal(err)
 	}
 	if bootSeen != 2 {
@@ -252,7 +206,7 @@ func TestGuestChurnDeterministic(t *testing.T) {
 			m.DestroyGuest(m.Guests()[1])
 			return nil
 		}}}
-		if err := m.Run(RunOptions{Events: events}); err != nil {
+		if err := m.RunWith(context.Background(), WithEvents(events...)); err != nil {
 			t.Fatal(err)
 		}
 		return m.Observe()
@@ -275,22 +229,56 @@ func TestAddTaskOnDeadGuestFails(t *testing.T) {
 	}
 }
 
+// TestHostConfigValidation pins HostConfig.Validate: each contradiction is
+// rejected as a *ConfigError naming the offending field (guest fields carry
+// their Guests[i] prefix) and NewHost refuses it; zero-valued optional
+// fields and an overcommitted guest sum are accepted.
+// configCase mutates a valid single-guest HostConfig; field names the
+// ConfigError field Validate must report, "" meaning the result is valid.
+type configCase struct {
+	name   string
+	mutate func(*HostConfig)
+	field  string
+}
+
+// checkConfigCases asserts that Validate and NewHost agree on each case and
+// that rejections carry the expected field.
+func checkConfigCases(t *testing.T, cases []configCase) {
+	t.Helper()
+	for _, tc := range cases {
+		cfg := smallConfig(guestos.PolicyDefault)
+		tc.mutate(&cfg)
+		err := cfg.Validate()
+		_, nerr := NewHost(cfg)
+		if tc.field == "" {
+			if err != nil || nerr != nil {
+				t.Errorf("%s: Validate = %v, NewHost = %v; want both nil", tc.name, err, nerr)
+			}
+			continue
+		}
+		var cerr *ConfigError
+		if !errors.As(err, &cerr) {
+			t.Errorf("%s: Validate = %v, want a *ConfigError", tc.name, err)
+		} else if cerr.Field != tc.field {
+			t.Errorf("%s: Field = %q, want %q", tc.name, cerr.Field, tc.field)
+		}
+		if nerr == nil {
+			t.Errorf("%s: NewHost accepted an invalid config", tc.name)
+		}
+	}
+}
+
+// TestHostConfigValidation covers the host-level rules: the guest list and
+// per-guest fit against host memory, with the guest sum free to overcommit.
 func TestHostConfigValidation(t *testing.T) {
-	base := hostConfig2(guestos.PolicyDefault)
-	noGuests := base
-	noGuests.Guests = nil
-	if _, err := NewHost(noGuests); err == nil {
-		t.Error("HostConfig without guests accepted")
-	}
-	tooBig := base
-	tooBig.Guests = []GuestConfig{{MemBytes: tooBig.HostMemBytes * 2}}
-	if _, err := NewHost(tooBig); err == nil {
-		t.Error("guest larger than host accepted")
-	}
-	// Overcommit of the sum is allowed.
-	over := base
-	over.Guests = []GuestConfig{{MemBytes: over.HostMemBytes}, {MemBytes: over.HostMemBytes}}
-	if _, err := NewHost(over); err != nil {
-		t.Errorf("overcommitted guest sum rejected: %v", err)
-	}
+	checkConfigCases(t, []configCase{
+		{"no guests", func(c *HostConfig) { c.Guests = nil }, "Guests"},
+		{"guest exceeds host", func(c *HostConfig) { c.Guests[0].MemBytes = c.HostMemBytes * 2 }, "Guests[0].MemBytes"},
+		{"second guest exceeds host", func(c *HostConfig) {
+			c.Guests = append(c.Guests, GuestConfig{MemBytes: c.HostMemBytes * 2})
+		}, "Guests[1].MemBytes"},
+		{"overcommitted guest sum", func(c *HostConfig) {
+			c.Guests = []GuestConfig{{MemBytes: c.HostMemBytes}, {MemBytes: c.HostMemBytes}}
+		}, ""},
+	})
 }

@@ -1,7 +1,9 @@
 package vm
 
 import (
+	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ptemagnet/internal/guestos"
@@ -12,7 +14,7 @@ import (
 // machine for observation.
 func runSmallMachine(t *testing.T, policy guestos.AllocPolicy) *Machine {
 	t.Helper()
-	m, err := New(smallConfig(policy))
+	m, err := NewHost(smallConfig(policy))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +24,7 @@ func runSmallMachine(t *testing.T, policy guestos.AllocPolicy) *Machine {
 	if _, err := m.AddTask(workload.NewPyaes(workload.CorunnerConfig{FootprintBytes: 2 << 20, Seed: 8}), RoleCorunner); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(RunOptions{}); err != nil {
+	if err := m.RunWith(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	return m
@@ -33,7 +35,7 @@ func runSmallMachine(t *testing.T, policy guestos.AllocPolicy) *Machine {
 // and is >= that floor after a run, and a second snapshot without further
 // work is identical to the first.
 func TestCountersMonotonicWithinRun(t *testing.T) {
-	m, err := New(smallConfig(guestos.PolicyPTEMagnet))
+	m, err := NewHost(smallConfig(guestos.PolicyPTEMagnet))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func TestCountersMonotonicWithinRun(t *testing.T) {
 	if _, err := m.AddTask(workload.NewPagerank(smallGraph(7)), RolePrimary); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(RunOptions{}); err != nil {
+	if err := m.RunWith(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	after := m.Registry().Snapshot()
@@ -57,6 +59,11 @@ func TestCountersMonotonicWithinRun(t *testing.T) {
 		}
 		if after.Value(i) < before.Value(i) {
 			t.Errorf("counter %s went backwards: %d -> %d", after.Name(i), before.Value(i), after.Value(i))
+		}
+		// A one-guest machine keeps the unprefixed counter names; only
+		// multi-guest hosts add vm<i>. prefixes.
+		if strings.HasPrefix(after.Name(i), "vm") {
+			t.Errorf("one-guest machine registered prefixed counter %q", after.Name(i))
 		}
 	}
 	if v, ok := after.Get("machine.accesses"); !ok || v == 0 {

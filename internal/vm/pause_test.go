@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 // co-runner) for the pause/resume equivalence proofs.
 func buildPausable(t *testing.T) *Machine {
 	t.Helper()
-	m, err := New(smallConfig(guestos.PolicyPTEMagnet))
+	m, err := NewHost(smallConfig(guestos.PolicyPTEMagnet))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,22 +27,21 @@ func buildPausable(t *testing.T) *Machine {
 }
 
 // TestStopAtAccessesPauseResume pins the pause/resume contract live
-// migration depends on: a run chopped into many StopAtAccesses slices must
+// migration depends on: a run chopped into many WithStopAtAccesses slices must
 // execute access-for-access what one uninterrupted run executes — including
 // the co-runner stop latch, which must not re-arm across a resume.
 func TestStopAtAccessesPauseResume(t *testing.T) {
-	opts := RunOptions{StopCorunnersAtPrimaryInit: true}
+	ctx := context.Background()
+	stop := WithStopCorunnersAtInit(true)
 
 	whole := buildPausable(t)
-	if err := whole.Run(opts); err != nil {
+	if err := whole.RunWith(ctx, stop); err != nil {
 		t.Fatal(err)
 	}
 
 	sliced := buildPausable(t)
 	for sliced.PendingPrimaries() > 0 {
-		o := opts
-		o.StopAtAccesses = sliced.TotalAccesses() + 1000
-		if err := sliced.Run(o); err != nil {
+		if err := sliced.RunWith(ctx, stop, WithStopAtAccesses(sliced.TotalAccesses()+1000)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -59,7 +59,7 @@ func TestStopAtAccessesPauseResume(t *testing.T) {
 // first round, so a migration round that requests no progress gets none.
 func TestStopAtAccessesAlreadyReached(t *testing.T) {
 	m := buildPausable(t)
-	if err := m.Run(RunOptions{StopAtAccesses: 500}); err != nil {
+	if err := m.RunWith(context.Background(), WithStopAtAccesses(500)); err != nil {
 		t.Fatal(err)
 	}
 	at := m.TotalAccesses()
@@ -69,7 +69,7 @@ func TestStopAtAccessesAlreadyReached(t *testing.T) {
 	if m.PendingPrimaries() == 0 {
 		t.Fatal("tiny paused run already finished; shrink the slice")
 	}
-	if err := m.Run(RunOptions{StopAtAccesses: at}); err != nil {
+	if err := m.RunWith(context.Background(), WithStopAtAccesses(at)); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.TotalAccesses(); got != at {

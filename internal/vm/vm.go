@@ -1,7 +1,7 @@
 // Package vm assembles the full simulated stack of the paper's evaluation
-// platform (§5): a host machine with a cache hierarchy, one QEMU/KVM-style
-// virtual machine, a guest kernel with a selectable allocator policy, and a
-// set of colocated workloads pinned to vCPUs.
+// platform (§5): a host machine with a cache hierarchy, one or more
+// QEMU/KVM-style virtual machines, each with a guest kernel with a
+// selectable allocator policy, and colocated workloads pinned to vCPUs.
 //
 // The machine interleaves the workloads' memory accesses round-robin in
 // small quanta — the asynchronous page-fault interleaving that fragments
@@ -145,8 +145,12 @@ type HostConfig struct {
 	Guests []GuestConfig
 }
 
-// Validate checks the host config and every guest config. Like
-// Config.Validate, zero values of optional fields always pass.
+// Validate checks the host config and every guest config. The zero value
+// of every optional field is a documented default (filled in by NewHost)
+// and always passes; Validate rejects only contradictions: unset memory
+// sizes, no guests, a guest larger than its host, negative counts, unknown
+// page-table depths, out-of-range watermarks, and an invalid Magnet
+// configuration (when one is set at all).
 func (c HostConfig) Validate() error {
 	if c.HostMemBytes == 0 {
 		return &ConfigError{Field: "HostMemBytes", Value: c.HostMemBytes, Reason: "must be set"}
@@ -190,117 +194,10 @@ func (g GuestConfig) validate(hostMemBytes uint64, prefix string) error {
 	return nil
 }
 
-// Config describes a single-VM simulated platform — the original shape of
-// the package, kept as a thin adapter over HostConfig with exactly one
-// guest. New multi-tenant code should use HostConfig directly.
-type Config struct {
-	// HostMemBytes / GuestMemBytes size the two physical memories
-	// (default 512MB / 256MB — the paper's 128GB/64GB at 1/256 scale).
-	HostMemBytes  uint64
-	GuestMemBytes uint64
-	// NumCPUs is the vCPU count; workloads are pinned round-robin.
-	NumCPUs int
-	// Cache overrides the hierarchy (zero value → cache.DefaultConfig).
-	Cache cache.Config
-	// Walker overrides translation machinery (zero → nested.DefaultConfig).
-	Walker nested.Config
-	// Policy selects the guest allocator; Magnet configures PTEMagnet.
-	Policy guestos.AllocPolicy
-	Magnet core.Config
-	// EnableThresholdBytes gates PTEMagnet per process (§4.4).
-	EnableThresholdBytes uint64
-	// ReclaimWatermark forwards to the guest kernel (§4.3).
-	ReclaimWatermark float64
-	// Costs prices kernel events (zero → DefaultCostModel).
-	Costs CostModel
-	// Quantum is the number of accesses one task executes per scheduling
-	// turn (small → aggressive fault interleaving). Zero → 8.
-	Quantum int
-	// PTLevels selects the page-table depth for both the guest and the
-	// host dimension: 4 (default) or 5 (LA57 + 5-level EPT, §2.5).
-	PTLevels int
-	// Balloon arms the host's overcommit pressure controller (zero stays
-	// balloon-free).
-	Balloon balloon.Config
-	// Seed drives kernel randomness.
-	Seed int64
-}
-
-// ConfigError is the typed validation failure returned by Config.Validate.
+// ConfigError is the typed validation failure returned by HostConfig.Validate.
 // It aliases the core package's type so errors.As matches failures from
 // either layer (a bad Magnet sub-config surfaces as the same type).
 type ConfigError = core.ConfigError
-
-// Validate checks cfg for explicitly invalid values. The zero value of every
-// optional field is a documented default (filled in by New) and always
-// passes; Validate rejects only contradictions: unset memory sizes, a guest
-// larger than its host, negative counts, unknown page-table depths,
-// out-of-range watermarks, and an invalid Magnet configuration (when one is
-// set at all).
-func (c Config) Validate() error {
-	if c.HostMemBytes == 0 {
-		return &ConfigError{Field: "HostMemBytes", Value: c.HostMemBytes, Reason: "must be set"}
-	}
-	if c.GuestMemBytes == 0 {
-		return &ConfigError{Field: "GuestMemBytes", Value: c.GuestMemBytes, Reason: "must be set"}
-	}
-	if c.GuestMemBytes > c.HostMemBytes {
-		return &ConfigError{Field: "GuestMemBytes", Value: c.GuestMemBytes, Reason: "guest memory cannot exceed host memory"}
-	}
-	if c.NumCPUs < 0 {
-		return &ConfigError{Field: "NumCPUs", Value: c.NumCPUs, Reason: "must be positive (zero selects the default)"}
-	}
-	if c.Quantum < 0 {
-		return &ConfigError{Field: "Quantum", Value: c.Quantum, Reason: "must be positive (zero selects the default)"}
-	}
-	if c.PTLevels != 0 && c.PTLevels != 4 && c.PTLevels != 5 {
-		return &ConfigError{Field: "PTLevels", Value: c.PTLevels, Reason: "must be 4 or 5 (zero selects the default)"}
-	}
-	if c.ReclaimWatermark < 0 || c.ReclaimWatermark > 1 {
-		return &ConfigError{Field: "ReclaimWatermark", Value: c.ReclaimWatermark, Reason: "must be in [0, 1]"}
-	}
-	if c.Magnet.GroupPages != 0 {
-		if err := c.Magnet.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Host converts the legacy single-VM config into the equivalent
-// one-guest HostConfig. New(c) and NewHost(c.Host()) build identical
-// machines.
-func (c Config) Host() HostConfig {
-	return HostConfig{
-		HostMemBytes: c.HostMemBytes,
-		NumCPUs:      c.NumCPUs,
-		Cache:        c.Cache,
-		Walker:       c.Walker,
-		Costs:        c.Costs,
-		Quantum:      c.Quantum,
-		PTLevels:     c.PTLevels,
-		Balloon:      c.Balloon,
-		Guests: []GuestConfig{{
-			MemBytes:             c.GuestMemBytes,
-			Policy:               c.Policy,
-			Magnet:               c.Magnet,
-			EnableThresholdBytes: c.EnableThresholdBytes,
-			ReclaimWatermark:     c.ReclaimWatermark,
-			Seed:                 c.Seed,
-		}},
-	}
-}
-
-// DefaultConfig returns the scaled-down mirror of the paper's Table 2
-// platform.
-func DefaultConfig() Config {
-	return Config{
-		HostMemBytes:  512 << 20,
-		GuestMemBytes: 256 << 20,
-		NumCPUs:       8,
-		Policy:        guestos.PolicyDefault,
-	}
-}
 
 // Role classifies tasks: primaries are measured; co-runners only generate
 // allocator pressure and stop when the primaries finish.
@@ -391,8 +288,7 @@ func (e env) Free(va arch.VirtAddr, bytes uint64) error {
 }
 
 // AccessRecord is one executed memory access as delivered to a Tracer.
-// Seq is the machine-global access sequence number (1-based), identical to
-// the seq the legacy per-event stream carried.
+// Seq is the machine-global access sequence number (1-based).
 type AccessRecord struct {
 	Task              int
 	VA                arch.VirtAddr
@@ -411,39 +307,14 @@ type AccessRecord struct {
 // Accesses arrive in batches in execution order. Faults interleave in stream
 // order: before a Fault with sequence number s is delivered, every access
 // record with Seq < s has already been delivered (the machine flushes the
-// pending batch first), so a per-event recorder fed through PerAccess sees
-// the exact event order the legacy interface produced.
+// pending batch first), so a recorder sees accesses and faults in the
+// exact order they executed.
 type Tracer interface {
 	// AccessBatch reports executed accesses in order. The slice is reused
 	// between calls; implementations must copy anything they retain.
 	AccessBatch(recs []AccessRecord)
 	// Fault reports one resolved guest page fault.
 	Fault(task int, va arch.VirtAddr, kind uint8, seq uint64)
-}
-
-// AccessTracer is the legacy per-event tracing interface. Wrap one with
-// PerAccess to install it on a Machine.
-type AccessTracer interface {
-	// Access reports one executed memory access.
-	Access(task int, va arch.VirtAddr, write, tlbHit bool, translationCycles, dataCycles uint64, served uint8, seq uint64)
-	// Fault reports one resolved guest page fault.
-	Fault(task int, va arch.VirtAddr, kind uint8, seq uint64)
-}
-
-// PerAccess adapts a legacy per-event AccessTracer to the batched Tracer
-// interface, fanning each batch out one call per access.
-func PerAccess(t AccessTracer) Tracer { return perAccess{t: t} }
-
-type perAccess struct{ t AccessTracer }
-
-func (p perAccess) AccessBatch(recs []AccessRecord) {
-	for _, r := range recs {
-		p.t.Access(r.Task, r.VA, r.Write, r.TLBHit, r.TranslationCycles, r.DataCycles, r.Served, r.Seq)
-	}
-}
-
-func (p perAccess) Fault(task int, va arch.VirtAddr, kind uint8, seq uint64) {
-	p.t.Fault(task, va, kind, seq)
 }
 
 // Guest is one tenant VM's software stack on the shared host: the VM as
@@ -538,8 +409,8 @@ type Machine struct {
 	// it doubles as the host kernel's PressureReliever.
 	balloon *balloon.Controller
 
-	// corunnersStopped latches StopCorunnersAtPrimaryInit across
-	// pause/resume boundaries (RunOptions.StopAtAccesses): once co-runners
+	// corunnersStopped latches WithStopCorunnersAtInit across pause/resume
+	// boundaries (WithStopAtAccesses): once co-runners
 	// stop at the primary-init boundary they stay stopped for the machine's
 	// lifetime, so a paused-and-resumed run schedules exactly the quanta an
 	// uninterrupted run would.
@@ -553,16 +424,6 @@ type Machine struct {
 // executed as several back-to-back batches, bounding scratch memory while
 // keeping the amortization win.
 const maxBatch = 256
-
-// New builds a single-VM machine from the legacy config. It is exactly
-// NewHost over cfg.Host() — one code path — but validates with the legacy
-// field names.
-func New(cfg Config) (*Machine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("vm: %w", err)
-	}
-	return newMachine(cfg.Host())
-}
 
 // NewHost builds a multi-tenant machine: the shared host plus one guest
 // stack per entry in cfg.Guests. Zero-valued optional fields select their
@@ -728,28 +589,18 @@ func (m *Machine) Guests() []*Guest { return m.guests }
 // Host exposes the host kernel.
 func (m *Machine) Host() *hostos.Kernel { return m.host }
 
-// Guest exposes the first guest's kernel — the whole machine's kernel in
-// the single-VM configuration this accessor predates.
-func (m *Machine) Guest() *guestos.Kernel { return m.guests[0].kernel }
-
-// HostVM exposes the first guest's VM as the host sees it.
-func (m *Machine) HostVM() *hostos.VM { return m.guests[0].hostVM }
-
 // Hierarchy exposes the shared cache hierarchy.
 func (m *Machine) Hierarchy() *cache.Hierarchy { return m.hier }
-
-// Walker exposes the first guest's nested walker.
-func (m *Machine) Walker() *nested.Walker { return m.guests[0].walker }
 
 // UnusedSeries returns the sampled §6.2 gauge.
 func (m *Machine) UnusedSeries() *metrics.Series { return &m.unusedSeries }
 
-// SetTracer installs an event-stream recorder for subsequent Run calls
+// SetTracer installs an event-stream recorder for subsequent RunWith calls
 // (nil disables tracing).
 func (m *Machine) SetTracer(t Tracer) { m.tracer = t }
 
 // AddTask schedules prog on the first guest (the only guest in a
-// single-VM machine). Multi-tenant callers use Guest.AddTask.
+// one-guest machine). Multi-tenant callers use Guest.AddTask.
 func (m *Machine) AddTask(prog workload.Program, role Role) (*Task, error) {
 	return m.guests[0].AddTask(prog, role)
 }
@@ -838,37 +689,7 @@ func WithEvents(events ...RunEvent) RunOpt {
 	return func(c *runConfig) { c.events = append(c.events, events...) }
 }
 
-// RunOptions control a Run.
-//
-// Deprecated: use RunWith with the RunOpt options (WithStopCorunnersAtInit,
-// WithSampleEvery, WithMaxAccesses, WithStopAtAccesses, WithEvents).
-type RunOptions struct {
-	// StopCorunnersAtPrimaryInit kills co-runner tasks the moment every
-	// primary finishes initialization — the §3.3 Table 1 methodology
-	// (fragmentation is left behind; LLC contention is removed).
-	StopCorunnersAtPrimaryInit bool
-	// SampleEvery samples the unused-reserved-pages gauge (§6.2) every N
-	// total accesses. Zero disables sampling.
-	SampleEvery uint64
-	// MaxAccesses aborts a runaway run (safety net). Zero → no limit.
-	MaxAccesses uint64
-	// StopAtAccesses pauses the run once the machine-global access count
-	// reaches this value, checked between scheduler rounds like Events.
-	// The run returns nil with primaries unfinished; a later Run call
-	// resumes from the exact scheduler state, and the combined execution
-	// is access-for-access identical to one uninterrupted run. The live
-	// migration engine interleaves pre-copy rounds with guest execution
-	// through this. Zero disables pausing.
-	StopAtAccesses uint64
-	// Events fire between scheduler rounds, in slice order, once each,
-	// when the machine-global access count reaches AtAccesses — the hook
-	// VM-churn scenarios use to boot and kill guests mid-run. Because
-	// events are keyed to the deterministic access count and run on the
-	// scheduler goroutine, a churn run is as reproducible as a static one.
-	Events []RunEvent
-}
-
-// RunEvent is one scheduled mid-run action (see RunOptions.Events).
+// RunEvent is one scheduled mid-run action (see WithEvents).
 type RunEvent struct {
 	// AtAccesses is the machine-global access count at or after which the
 	// event fires (checked between rounds).
@@ -893,32 +714,6 @@ func (m *Machine) RunWith(ctx context.Context, opts ...RunOpt) error {
 			o(&cfg)
 		}
 	}
-	return m.runWith(ctx, cfg)
-}
-
-// Run interleaves all tasks until every primary finishes.
-//
-// Deprecated: use RunWith.
-func (m *Machine) Run(opts RunOptions) error {
-	return m.RunContext(context.Background(), opts)
-}
-
-// RunContext is Run with cancellation.
-//
-// Deprecated: use RunWith.
-func (m *Machine) RunContext(ctx context.Context, opts RunOptions) error {
-	return m.runWith(ctx, runConfig{
-		stopCorunnersAtPrimaryInit: opts.StopCorunnersAtPrimaryInit,
-		sampleEvery:                opts.SampleEvery,
-		maxAccesses:                opts.MaxAccesses,
-		stopAtAccesses:             opts.StopAtAccesses,
-		events:                     opts.Events,
-	})
-}
-
-// runWith is the scheduler loop behind RunWith and the deprecated
-// RunOptions entry points.
-func (m *Machine) runWith(ctx context.Context, opts runConfig) error {
 	if countPrimaries(m.tasks) == 0 {
 		return fmt.Errorf("vm: no primary task")
 	}
@@ -934,11 +729,11 @@ func (m *Machine) runWith(ctx context.Context, opts runConfig) error {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("vm: run canceled: %w", err)
 		}
-		if opts.stopAtAccesses > 0 && m.totalAccesses >= opts.stopAtAccesses {
+		if cfg.stopAtAccesses > 0 && m.totalAccesses >= cfg.stopAtAccesses {
 			return nil
 		}
-		for nextEvent < len(opts.events) && m.totalAccesses >= opts.events[nextEvent].AtAccesses {
-			if err := opts.events[nextEvent].Do(m); err != nil {
+		for nextEvent < len(cfg.events) && m.totalAccesses >= cfg.events[nextEvent].AtAccesses {
+			if err := cfg.events[nextEvent].Do(m); err != nil {
 				return fmt.Errorf("vm: run event %d: %w", nextEvent, err)
 			}
 			nextEvent++
@@ -967,13 +762,13 @@ func (m *Machine) runWith(ctx context.Context, opts runConfig) error {
 		if !m.steadySnapTaken && m.primariesInitDone() {
 			m.steadySnapTaken = true
 			m.statsAtInit = m.Snapshot()
-			if opts.stopCorunnersAtPrimaryInit {
+			if cfg.stopCorunnersAtPrimaryInit {
 				m.corunnersStopped = true
 			}
 		}
-		if opts.sampleEvery > 0 && m.totalAccesses >= nextSample {
+		if cfg.sampleEvery > 0 && m.totalAccesses >= nextSample {
 			m.unusedSeries.Record(m.totalAccesses, int64(m.unusedReservedPages()))
-			nextSample = m.totalAccesses + opts.sampleEvery
+			nextSample = m.totalAccesses + cfg.sampleEvery
 		}
 		if m.balloon != nil && m.totalAccesses >= nextBalloon {
 			// Working-set sampling and the watermark check are keyed to
@@ -983,11 +778,11 @@ func (m *Machine) runWith(ctx context.Context, opts runConfig) error {
 			m.balloon.Check()
 			nextBalloon = m.totalAccesses + m.balloon.Config().SampleEvery
 		}
-		if opts.maxAccesses > 0 && m.totalAccesses >= opts.maxAccesses {
-			return fmt.Errorf("vm: exceeded access budget %d", opts.maxAccesses)
+		if cfg.maxAccesses > 0 && m.totalAccesses >= cfg.maxAccesses {
+			return fmt.Errorf("vm: exceeded access budget %d", cfg.maxAccesses)
 		}
 	}
-	if opts.sampleEvery > 0 {
+	if cfg.sampleEvery > 0 {
 		// Always close the series with the final state, so short runs
 		// still report their peak.
 		m.unusedSeries.Record(m.totalAccesses, int64(m.unusedReservedPages()))
@@ -1000,8 +795,7 @@ func (m *Machine) runWith(ctx context.Context, opts runConfig) error {
 func (m *Machine) TotalAccesses() uint64 { return m.totalAccesses }
 
 // PendingPrimaries returns how many primary tasks have not finished. A
-// paused run (RunOptions.StopAtAccesses) left work behind iff this is
-// nonzero.
+// paused run (WithStopAtAccesses) left work behind iff this is nonzero.
 func (m *Machine) PendingPrimaries() int { return len(m.pendingPrimaries()) }
 
 // HostConfig returns the machine's resolved host configuration.
@@ -1214,7 +1008,7 @@ func (t *Task) markInitBoundary() {
 // TaskReport is the measured slice of one primary task.
 type TaskReport struct {
 	Name string
-	// Guest is the index of the guest the task ran in (0 on a single-VM
+	// Guest is the index of the guest the task ran in (0 on a one-guest
 	// machine).
 	Guest int
 	// Whole-run totals.

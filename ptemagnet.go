@@ -22,8 +22,8 @@
 //
 //   - NewPaRT gives the bare reservation table, the paper's §4 data
 //     structure, usable against any frame allocator.
-//   - NewMachine assembles the full simulated platform (host + VM + guest
-//     kernel + caches + nested walker) for custom experiments.
+//   - NewMachine assembles the full simulated platform (host + VMs + guest
+//     kernels + caches + nested walkers) for custom experiments.
 //   - RunScenario / the Run* experiment functions reproduce the paper's
 //     tables and figures (see EXPERIMENTS.md).
 //
@@ -155,14 +155,12 @@ func NewGuestKernel(cfg GuestConfig) *GuestKernel { return guestos.NewKernel(cfg
 
 // Full platform.
 type (
-	// Machine is the assembled host + VM + guest + caches + walker.
+	// Machine is the assembled host + VMs + guests + caches + walkers.
 	Machine = vm.Machine
-	// MachineConfig sizes the platform.
-	MachineConfig = vm.Config
-	// RunOptions controls a Machine.Run.
-	//
-	// Deprecated: use Machine.RunWith with MachineRunOpt options.
-	RunOptions = vm.RunOptions
+	// MachineConfig describes the platform: shared host hardware plus one
+	// TenantConfig per VM packed onto it (a one-guest config is the
+	// classic single-VM machine).
+	MachineConfig = vm.HostConfig
 	// MachineRunOpt configures a Machine.RunWith (functional options:
 	// WithEvents, WithSampleEvery, WithStopAtAccesses, WithMaxAccesses,
 	// WithStopCorunnersAtInit).
@@ -172,19 +170,12 @@ type (
 	// TaskReport is the per-benchmark measurement.
 	TaskReport = vm.TaskReport
 	// Tracer receives the machine's event stream in batches (see
-	// NewTraceWriter for a ready-made recorder, PerAccessTracer to adapt a
-	// per-event implementation).
+	// NewTraceWriter for a ready-made recorder).
 	Tracer = vm.Tracer
 	// AccessRecord is one executed access as delivered to a Tracer batch.
 	AccessRecord = vm.AccessRecord
-	// AccessTracer is the legacy per-event tracing interface; wrap with
-	// PerAccessTracer before installing it on a Machine.
-	AccessTracer = vm.AccessTracer
 	// Role distinguishes measured primaries from background co-runners.
 	Role = vm.Role
-	// HostMachineConfig describes a multi-tenant platform: shared host
-	// hardware plus one TenantConfig per VM packed onto it.
-	HostMachineConfig = vm.HostConfig
 	// TenantConfig describes one VM on a multi-tenant host (size and
 	// guest allocator policy). The name differs from the internal
 	// vm.GuestConfig because GuestConfig here already names the guest
@@ -200,10 +191,6 @@ type (
 	// RunEvent is a scheduled mid-run action (VM churn hooks).
 	RunEvent = vm.RunEvent
 )
-
-// PerAccessTracer adapts a per-event AccessTracer to the batched Tracer
-// interface a Machine expects.
-func PerAccessTracer(t AccessTracer) Tracer { return vm.PerAccess(t) }
 
 // Machine run options (Machine.RunWith).
 var (
@@ -237,15 +224,9 @@ type CacheConfig = cache.Config
 // DefaultCacheConfig returns the Broadwell-like hierarchy used by default.
 func DefaultCacheConfig(numCPUs int) CacheConfig { return cache.DefaultConfig(numCPUs) }
 
-// NewMachine assembles a simulated platform.
-func NewMachine(cfg MachineConfig) (*Machine, error) { return vm.New(cfg) }
-
-// NewHostMachine assembles a multi-tenant platform: one shared host
-// running every guest in cfg.Guests.
-func NewHostMachine(cfg HostMachineConfig) (*Machine, error) { return vm.NewHost(cfg) }
-
-// DefaultMachineConfig mirrors the paper's Table 2 platform at 1/256 scale.
-func DefaultMachineConfig() MachineConfig { return vm.DefaultConfig() }
+// NewMachine assembles a simulated platform: one shared host running
+// every guest in cfg.Guests.
+func NewMachine(cfg MachineConfig) (*Machine, error) { return vm.NewHost(cfg) }
 
 // Workloads.
 type (
@@ -546,12 +527,6 @@ type (
 	// ExperimentResult is the reduced output of one experiment; render it
 	// with String.
 	ExperimentResult = sim.ExperimentResult
-	// ExperimentOptions carries RunExperimentOpts' optional knobs (engine,
-	// multitenant VM counts).
-	//
-	// Deprecated: use RunExperiment's functional options (WithEngine,
-	// WithVMCounts).
-	ExperimentOptions = sim.ExperimentOptions
 	// ExperimentRunOpt configures a RunExperiment call (functional
 	// options: WithScale, WithSeed, WithEngine, WithVMCounts,
 	// WithFaultPlan, WithRetry, WithCollector).
@@ -565,10 +540,6 @@ var (
 	// MatchExperiments resolves a selector ("all", a name, or a tag like
 	// "fig6") to the experiments it runs.
 	MatchExperiments = sim.MatchExperiments
-	// RunExperimentOpts runs one experiment by name with explicit options.
-	//
-	// Deprecated: use RunExperiment with functional options.
-	RunExperimentOpts = sim.RunExperimentOpts
 )
 
 // Experiment run options (RunExperiment).

@@ -1,6 +1,7 @@
 package ptemagnet_test
 
 import (
+	"context"
 	"testing"
 
 	"ptemagnet"
@@ -56,10 +57,10 @@ func TestGuestKernelFacade(t *testing.T) {
 }
 
 func TestMachineFacadeSmoke(t *testing.T) {
-	cfg := ptemagnet.DefaultMachineConfig()
-	cfg.HostMemBytes = 64 << 20
-	cfg.GuestMemBytes = 32 << 20
-	m, err := ptemagnet.NewMachine(cfg)
+	m, err := ptemagnet.NewMachine(ptemagnet.MachineConfig{
+		HostMemBytes: 64 << 20,
+		Guests:       []ptemagnet.TenantConfig{{MemBytes: 32 << 20}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestMachineFacadeSmoke(t *testing.T) {
 	if _, err := m.AddTask(prog, ptemagnet.RolePrimary); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(ptemagnet.RunOptions{}); err != nil {
+	if err := m.RunWith(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if len(m.Report()) != 1 {
