@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-smoke experiments determinism-smoke
+.PHONY: all build vet lint test race bench bench-smoke profile experiments determinism-smoke
 
 all: build vet lint test
 
@@ -42,11 +42,22 @@ bench:
 		./internal/workload ./internal/nested ./internal/vm . \
 		> BENCH_pipeline.json
 
-# Compile-and-run rot check for the bench harness; single iteration, no
+# Compile-and-run rot check for the bench harness: every per-layer bench
+# under internal/ plus the root Pipeline bench, one iteration each, no
 # timing claims.
 bench-smoke:
-	$(GO) test -bench='Pipeline' -benchtime=1x -run=^$$ \
-		./internal/workload ./internal/nested ./internal/vm .
+	$(GO) test -bench=. -benchtime=1x -run=^$$ ./internal/...
+	$(GO) test -bench='Pipeline' -benchtime=1x -run=^$$ .
+
+# CPU profile of the batched machine loop, standard library only: the
+# profile and the test binary it symbolizes against land in PROFILE_DIR,
+# and the hottest functions print by flat time.
+PROFILE_DIR ?= $(or $(TMPDIR),/tmp)
+profile:
+	$(GO) test -bench='PipelineMachineLoopBatched$$' -benchtime=3s -run=^$$ \
+		-cpuprofile $(PROFILE_DIR)/ptm-machineloop.pprof \
+		-o $(PROFILE_DIR)/ptm-vm.test ./internal/vm
+	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/ptm-vm.test $(PROFILE_DIR)/ptm-machineloop.pprof
 
 experiments:
 	$(GO) run ./cmd/experiments -quick

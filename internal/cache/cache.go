@@ -141,42 +141,38 @@ func newBank(cfg LevelConfig) *bank {
 	return b
 }
 
-// lookup probes for block and refreshes LRU on hit.
-func (b *bank) lookup(block uint64) bool {
-	set := b.set(block)
-	base := int(set) * b.ways
-	b.tick++
-	for w := 0; w < b.ways; w++ {
-		if b.tags[base+w] == block {
-			b.age[base+w] = b.tick
+// access probes for block in one scan of its set and reports a hit. A hit
+// refreshes the way's LRU stamp; a miss fills the first invalid way, or
+// else evicts the least recently used way. The clock advances by one on a
+// hit and by two on a miss — one for the probe, one for the fill — so the
+// stamps, and with them every later victim, match a probe followed by a
+// separate fill.
+func (b *bank) access(block uint64) bool {
+	base := int(b.set(block)) * b.ways
+	ways := b.tags[base : base+b.ways]
+	ages := b.age[base : base+b.ways]
+	fill, victim := -1, 0
+	for w, tag := range ways {
+		if tag == block {
+			b.tick++
+			ages[w] = b.tick
 			return true
 		}
+		if fill < 0 {
+			if tag == invalidTag {
+				fill = w
+			} else if ages[w] < ages[victim] {
+				victim = w
+			}
+		}
 	}
+	if fill < 0 {
+		fill = victim
+	}
+	b.tick += 2
+	ways[fill] = block
+	ages[fill] = b.tick
 	return false
-}
-
-// insert fills block, evicting the LRU way if needed. It returns the evicted
-// block and whether an eviction happened.
-func (b *bank) insert(block uint64) (evicted uint64, wasEvicted bool) {
-	set := b.set(block)
-	base := int(set) * b.ways
-	b.tick++
-	victim := base
-	for w := 0; w < b.ways; w++ {
-		i := base + w
-		if b.tags[i] == invalidTag {
-			b.tags[i] = block
-			b.age[i] = b.tick
-			return 0, false
-		}
-		if b.age[i] < b.age[victim] {
-			victim = i
-		}
-	}
-	ev := b.tags[victim]
-	b.tags[victim] = block
-	b.age[victim] = b.tick
-	return ev, true
 }
 
 // invalidate drops block if present.
@@ -236,26 +232,23 @@ func (h *Hierarchy) Config() Config { return h.cfg }
 // Misses fill every level on the way back (inclusive fill).
 func (h *Hierarchy) Access(cpu int, pa arch.PhysAddr) (Level, uint64) {
 	block := pa.CacheBlock()
-	switch {
-	case h.l1[cpu].lookup(block):
+	// Each miss fills its level before the next level is probed. The
+	// banks share no state and nothing back-invalidates, so this leaves
+	// every bank exactly as probing top-down and filling bottom-up would.
+	if h.l1[cpu].access(block) {
 		h.hits[LevelL1]++
 		return LevelL1, h.cfg.L1.Latency
-	case h.l2[cpu].lookup(block):
-		h.l1[cpu].insert(block)
+	}
+	if h.l2[cpu].access(block) {
 		h.hits[LevelL2]++
 		return LevelL2, h.cfg.L2.Latency
-	case h.llc.lookup(block):
-		h.l2[cpu].insert(block)
-		h.l1[cpu].insert(block)
+	}
+	if h.llc.access(block) {
 		h.hits[LevelLLC]++
 		return LevelLLC, h.cfg.LLC.Latency
-	default:
-		h.llc.insert(block)
-		h.l2[cpu].insert(block)
-		h.l1[cpu].insert(block)
-		h.hits[LevelMemory]++
-		return LevelMemory, h.cfg.MemLatency
 	}
+	h.hits[LevelMemory]++
+	return LevelMemory, h.cfg.MemLatency
 }
 
 // Contains reports whether the block containing pa is present at any level
@@ -323,4 +316,3 @@ func (h *Hierarchy) RegisterObs(r *obs.Registry, prefix string) {
 		})
 	}
 }
-

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 
 	"ptemagnet/internal/arch"
@@ -211,6 +212,168 @@ func BenchmarkAccessStream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Access(0, arch.PhysAddr(uint64(i)*arch.CacheBlockSize))
+	}
+}
+
+// BenchmarkAccessMix drives a 3:1 hit/miss mix: three accesses to an
+// L1-resident block per access to a cold block, so the probe path and the
+// fill path both show in the per-access cost.
+func BenchmarkAccessMix(b *testing.B) {
+	h := NewHierarchy(DefaultConfig(1))
+	h.Access(0, 0x1000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pa := arch.PhysAddr(0x1000)
+		if i%4 == 3 {
+			pa = arch.PhysAddr(uint64(i) * arch.CacheBlockSize)
+		}
+		h.Access(0, pa)
+	}
+}
+
+// lruModel is a naive exact-LRU reference for one bank: each set is a list
+// of resident blocks, least recently used first. Only the set index is
+// borrowed from the real bank; replacement is modelled independently.
+type lruModel struct {
+	index *bank
+	ways  int
+	sets  map[uint64][]uint64
+}
+
+func newLRUModel(cfg LevelConfig) *lruModel {
+	return &lruModel{index: newBank(cfg), ways: cfg.Ways, sets: map[uint64][]uint64{}}
+}
+
+// remove drops block from its set and reports whether it was resident.
+func (m *lruModel) remove(block uint64) bool {
+	set := m.index.set(block)
+	blocks := m.sets[set]
+	for i, b := range blocks {
+		if b == block {
+			m.sets[set] = append(blocks[:i:i], blocks[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+// access reports a hit and leaves block most recently used, evicting the
+// least recently used block when a miss finds the set full.
+func (m *lruModel) access(block uint64) bool {
+	hit := m.remove(block)
+	set := m.index.set(block)
+	blocks := m.sets[set]
+	if len(blocks) == m.ways {
+		blocks = blocks[1:]
+	}
+	m.sets[set] = append(blocks[:len(blocks):len(blocks)], block)
+	return hit
+}
+
+// hierModel is the reference hierarchy: private L1/L2 per CPU, one LLC, a
+// miss filling every level above the one that served it.
+type hierModel struct {
+	l1, l2 []*lruModel
+	llc    *lruModel
+}
+
+func newHierModel(cfg Config) *hierModel {
+	m := &hierModel{llc: newLRUModel(cfg.LLC)}
+	for i := 0; i < cfg.NumCPUs; i++ {
+		m.l1 = append(m.l1, newLRUModel(cfg.L1))
+		m.l2 = append(m.l2, newLRUModel(cfg.L2))
+	}
+	return m
+}
+
+// path lists the banks cpu's accesses consult, L1 first.
+func (m *hierModel) path(cpu int) []*lruModel { return []*lruModel{m.l1[cpu], m.l2[cpu], m.llc} }
+
+func (m *hierModel) access(cpu int, block uint64) Level {
+	for lv, b := range m.path(cpu) {
+		if b.access(block) {
+			return Level(lv)
+		}
+	}
+	return LevelMemory
+}
+
+func (m *hierModel) contains(cpu int, block uint64) bool {
+	for _, b := range m.path(cpu) {
+		for _, r := range b.sets[b.index.set(block)] {
+			if r == block {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func (m *hierModel) invalidate(block uint64) {
+	for cpu := range m.l1 {
+		for _, b := range m.path(cpu) {
+			b.remove(block)
+		}
+	}
+}
+
+// TestHierarchyMatchesLRUModel drives the hierarchy and the naive model
+// with the same seeded streams and requires the same serving level on
+// every access and the same residency at the end. The streams cover a
+// hit-heavy working set, a miss-heavy one, and invalidations that punch
+// holes into full sets, on plain and hashed indexing.
+func TestHierarchyMatchesLRUModel(t *testing.T) {
+	hashed := tinyConfig()
+	hashed.L2.HashedIndex = true
+	hashed.LLC.HashedIndex = true
+	configs := []struct {
+		name string
+		cfg  Config
+	}{{"plain", tinyConfig()}, {"hashed", hashed}}
+	streams := []struct {
+		name       string
+		blocks     uint64 // distinct blocks drawn from
+		invalidate int    // one Invalidate per this many accesses; 0 = none
+	}{
+		{"hit-heavy", 24, 0},
+		{"miss-heavy", 4096, 0},
+		{"invalidate", 512, 5},
+	}
+	for ci, c := range configs {
+		for si, st := range streams {
+			cfg := c.cfg
+			t.Run(c.name+"/"+st.name, func(t *testing.T) {
+				h := NewHierarchy(cfg)
+				model := newHierModel(cfg)
+				rng := rand.New(rand.NewSource(int64(ci*len(streams) + si + 1)))
+				for i := 0; i < 50_000; i++ {
+					block := uint64(rng.Int63n(int64(st.blocks)))
+					pa := arch.PhysAddr(block * arch.CacheBlockSize)
+					if st.invalidate > 0 && i%st.invalidate == 0 {
+						h.Invalidate(pa)
+						model.invalidate(block)
+						continue
+					}
+					cpu := rng.Intn(cfg.NumCPUs)
+					got, _ := h.Access(cpu, pa)
+					if want := model.access(cpu, block); got != want {
+						t.Fatalf("access %d (cpu %d, block %d) served by %v, model says %v", i, cpu, block, got, want)
+					}
+				}
+				for cpu := 0; cpu < cfg.NumCPUs; cpu++ {
+					for block := uint64(0); block < st.blocks; block++ {
+						pa := arch.PhysAddr(block * arch.CacheBlockSize)
+						if got, want := h.Contains(cpu, pa), model.contains(cpu, block); got != want {
+							t.Fatalf("cpu %d block %d: Contains = %v, model says %v", cpu, block, got, want)
+						}
+					}
+				}
+				s := h.Snapshot()
+				if s.Hits[LevelL1] == 0 || s.Hits[LevelMemory] == 0 {
+					t.Errorf("stream exercised too little: %v", s.Hits)
+				}
+			})
+		}
 	}
 }
 

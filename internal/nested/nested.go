@@ -216,8 +216,10 @@ type Walker struct {
 	gpwc   *tlb.TLB
 	hpwc   *tlb.TLB
 	stats  Stats
-	// walkBuf is reused across walks to avoid per-walk allocations.
-	walkBuf []pagetable.Access
+	// walkBuf and hostBuf are reused across walks so a walk allocates
+	// nothing. They are separate because the host walks of translateGPA
+	// run while the guest loop is still iterating walkBuf.
+	walkBuf, hostBuf []pagetable.Access
 }
 
 // writableBit marks writable translations inside TLB payload addresses.
@@ -275,6 +277,14 @@ func (w *Walker) TLB() *tlb.TwoLevel { return w.tlb }
 // pwcKey derives the PWC tag: the address prefix that selects a leaf PT
 // node (everything above the leaf index — 2MB regions).
 func pwcKey(a uint64) uint64 { return a >> (arch.PageShift + arch.PTIndexBits) }
+
+// leafNode returns the leaf (level-1) page-table node a completed walk read
+// its last entry from — the node a page-walk cache maps the address prefix
+// to. A walk that ended at a 2MB entry has no leaf node, and ok is false.
+func leafNode(accesses []pagetable.Access) (node arch.PhysAddr, ok bool) {
+	last := accesses[len(accesses)-1]
+	return last.EntryAddr.PageBase(), last.Level == 1
+}
 
 // Translate resolves the guest-virtual address va of the process with the
 // given ASID and guest page table, on behalf of cpu. write marks stores so
@@ -337,8 +347,7 @@ func (w *Walker) walk(cpu int, asid uint32, gpt *pagetable.Table, va arch.VirtAd
 		startNode = nodeGPA
 		w.stats.PWCHits[DimGuest]++
 	}
-	w.walkBuf = w.walkBuf[:0]
-	accesses, gpa, found := gpt.WalkAppend(w.walkBuf, va, startLevel, startNode)
+	accesses, gpa, flags, found := gpt.WalkAppend(w.walkBuf[:0], va, startLevel, startNode)
 	w.walkBuf = accesses
 	for _, a := range accesses {
 		// Each guest PT entry lives at a guest-physical address that the
@@ -352,21 +361,16 @@ func (w *Walker) walk(cpu int, asid uint32, gpt *pagetable.Table, va arch.VirtAd
 		w.stats.Cycles[DimGuest] += lat
 		cycles += lat
 	}
-	if !found {
+	// Permission check on the leaf: a missing mapping and a write to a
+	// read-only (COW) one both end the walk in a guest fault.
+	if !found || (write && flags&pagetable.FlagWritable == 0) {
 		w.stats.GuestFaults++
 		w.stats.WalkCycles += cycles
 		w.stats.WalkHist[histBucket(cycles)]++
 		return Outcome{GuestFault: true, Cycles: cycles}
 	}
-	// Permission check on the leaf.
-	_, flags, _ := gpt.Translate(va)
-	if write && flags&pagetable.FlagWritable == 0 {
-		w.stats.GuestFaults++
-		w.stats.WalkCycles += cycles
-		return Outcome{GuestFault: true, Cycles: cycles}
-	}
 	if startLevel != 1 {
-		if nodeGPA, ok := gpt.NodeAt(va, 1); ok {
+		if nodeGPA, ok := leafNode(accesses); ok {
 			w.gpwc.Insert(asid, pwcKey(uint64(va)), nodeGPA)
 		}
 	}
@@ -406,7 +410,8 @@ func (w *Walker) translateGPA(cpu int, gpa arch.PhysAddr) (arch.PhysAddr, uint64
 			startNode = nodeHPA
 			w.stats.PWCHits[DimHost]++
 		}
-		accesses, hpa, found := hpt.Walk(hva, startLevel, startNode)
+		accesses, hpa, _, found := hpt.WalkAppend(w.hostBuf[:0], hva, startLevel, startNode)
+		w.hostBuf = accesses
 		for _, a := range accesses {
 			lv, lat := w.caches.Access(cpu, a.EntryAddr)
 			w.stats.Accesses[DimHost]++
@@ -416,7 +421,7 @@ func (w *Walker) translateGPA(cpu int, gpa arch.PhysAddr) (arch.PhysAddr, uint64
 		}
 		if found {
 			if startLevel != 1 {
-				if nodeHPA, ok := hpt.NodeAt(hva, 1); ok {
+				if nodeHPA, ok := leafNode(accesses); ok {
 					w.hpwc.Insert(0, pwcKey(uint64(hva)), nodeHPA)
 				}
 			}

@@ -70,7 +70,7 @@ func TestWalkLargeStopsAtLevel2(t *testing.T) {
 	tbl, _ := largeTable(t)
 	va := arch.VirtAddr(0x7f0000000000)
 	tbl.MapLarge(va, 0x800000, 0)
-	accesses, pa, found := tbl.WalkFull(va + 0x2345)
+	accesses, pa, _, found := tbl.WalkAppend(nil, va+0x2345, tbl.Levels(), tbl.Root())
 	if !found || pa != 0x802345 {
 		t.Fatalf("walk: pa=%#x found=%v", pa, found)
 	}
@@ -186,9 +186,53 @@ func TestLargePageWalkFromPWCGuarded(t *testing.T) {
 	if !ok {
 		t.Fatal("NodeAt failed for 4KB region")
 	}
-	accesses, pa, found := tbl.Walk(0x1000, 1, node)
+	accesses, pa, _, found := tbl.WalkAppend(nil, 0x1000, 1, node)
 	if !found || pa != 0x5000 || len(accesses) != 1 {
 		t.Errorf("PWC walk: %#x,%v,%d accesses", pa, found, len(accesses))
+	}
+}
+
+// TestWalkOutputsMatchLogicalLookups pins what the nested walker reads off
+// a walk instead of re-walking the table: the flags WalkAppend returns are
+// Translate's, and the node of the last access is NodeAt(va, 1) — for a
+// 4KB mapping, for a 2MB mapping (no leaf node: the walk ends at level 2),
+// and for a walk that starts at the leaf node a page-walk cache supplied.
+func TestWalkOutputsMatchLogicalLookups(t *testing.T) {
+	tbl, _ := largeTable(t)
+	tbl.Map(0x1000, 0x5000, FlagWritable)
+	tbl.Map(0x2000, 0x6000, FlagCOW)
+	tbl.Map(0x3000, 0x7000, 0)
+	tbl.MapLarge(0x200000, 0x800000, FlagWritable)
+	tbl.MapLarge(0x400000, 0xA00000, FlagCOW)
+	leaf, _ := tbl.NodeAt(0x1000, 1)
+	cases := []struct {
+		name       string
+		va         arch.VirtAddr
+		startLevel int
+		startNode  arch.PhysAddr
+	}{
+		{"4KB writable", 0x1000, tbl.Levels(), tbl.Root()},
+		{"4KB cow", 0x2123, tbl.Levels(), tbl.Root()},
+		{"4KB read-only", 0x3000, tbl.Levels(), tbl.Root()},
+		{"2MB writable", 0x212345, tbl.Levels(), tbl.Root()},
+		{"2MB cow", 0x400000, tbl.Levels(), tbl.Root()},
+		{"pwc start writable", 0x1000, 1, leaf},
+		{"pwc start cow", 0x2040, 1, leaf},
+	}
+	for _, c := range cases {
+		accesses, pa, flags, found := tbl.WalkAppend(nil, c.va, c.startLevel, c.startNode)
+		wantPA, wantFlags, ok := tbl.Translate(c.va)
+		if !found || !ok || pa != wantPA || flags != wantFlags {
+			t.Errorf("%s: walk (%#x, %v, %v), Translate (%#x, %v, %v)", c.name, pa, flags, found, wantPA, wantFlags, ok)
+		}
+		last := accesses[len(accesses)-1]
+		wantNode, hasLeaf := tbl.NodeAt(c.va, 1)
+		if (last.Level == 1) != hasLeaf {
+			t.Errorf("%s: walk ended at level %d, NodeAt(va, 1) ok=%v", c.name, last.Level, hasLeaf)
+		}
+		if hasLeaf && last.EntryAddr.PageBase() != wantNode {
+			t.Errorf("%s: last access in node %#x, NodeAt(va, 1) = %#x", c.name, last.EntryAddr.PageBase(), wantNode)
+		}
 	}
 }
 

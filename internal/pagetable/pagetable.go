@@ -464,21 +464,19 @@ func (t *Table) largeEntry(va arch.VirtAddr) (*node, int, bool) {
 	return nil, 0, false
 }
 
-// Walk performs a hardware-style walk for va: it returns the physical
-// address of the entry read at each level, from the root down, stopping at
-// the first non-present entry. found reports whether a leaf translation was
-// reached; pa is the translated physical address when found.
+// WalkAppend performs a hardware-style walk for va, appending to dst the
+// physical address of the entry read at each level, from the start level
+// down, and stopping at the first non-present entry. found reports whether
+// a translation was reached; pa is then the translated physical address and
+// flags the permission bits of the translating entry — the level-1 PTE, or
+// the level-2 entry of a 2MB mapping. Hot callers pass a reused buffer so a
+// walk allocates nothing.
 //
 // startLevel allows a page-walk cache to skip upper levels: a walk beginning
-// at level 2 reads only the level-2 and level-1 entries. nodePA must then be
-// the node supplied by the PWC. Use WalkFull for an uncached walk.
-func (t *Table) Walk(va arch.VirtAddr, startLevel int, nodePA arch.PhysAddr) (accesses []Access, pa arch.PhysAddr, found bool) {
-	return t.WalkAppend(nil, va, startLevel, nodePA)
-}
-
-// WalkAppend is Walk appending to dst, letting hot callers reuse a buffer
-// across walks instead of allocating one per TLB miss.
-func (t *Table) WalkAppend(dst []Access, va arch.VirtAddr, startLevel int, nodePA arch.PhysAddr) (accesses []Access, pa arch.PhysAddr, found bool) {
+// at level 2 reads only the level-2 and level-1 entries, and nodePA must
+// then be the node supplied by the cache. An uncached walk starts at
+// Levels() from Root().
+func (t *Table) WalkAppend(dst []Access, va arch.VirtAddr, startLevel int, nodePA arch.PhysAddr) (accesses []Access, pa arch.PhysAddr, flags Flags, found bool) {
 	accesses = dst
 	if startLevel < 1 || startLevel > t.levels {
 		panic(fmt.Sprintf("pagetable: bad start level %d", startLevel))
@@ -494,25 +492,20 @@ func (t *Table) WalkAppend(dst []Access, va arch.VirtAddr, startLevel int, nodeP
 		accesses = append(accesses, Access{Level: level, EntryAddr: entryAddr})
 		e := n.entries[idx]
 		if !e.present() {
-			return accesses, arch.NoPhysAddr, false
+			return accesses, arch.NoPhysAddr, 0, false
 		}
 		if level == 2 && e.large() {
 			// PS bit set: the walk terminates one level early with a 2MB
 			// translation.
-			return accesses, e.addr() + arch.PhysAddr(uint64(va)&LargePageMask), true
+			return accesses, e.addr() + arch.PhysAddr(uint64(va)&LargePageMask), e.flags(), true
 		}
 		if level == 1 {
-			return accesses, e.addr() + arch.PhysAddr(va.PageOffset()), true
+			return accesses, e.addr() + arch.PhysAddr(va.PageOffset()), e.flags(), true
 		}
 		cur = e.addr()
 		n = t.nodes[cur]
 	}
-	return accesses, arch.NoPhysAddr, false
-}
-
-// WalkFull walks from the root (no page-walk-cache assistance).
-func (t *Table) WalkFull(va arch.VirtAddr) ([]Access, arch.PhysAddr, bool) {
-	return t.Walk(va, t.levels, t.root)
+	return accesses, arch.NoPhysAddr, 0, false
 }
 
 // NodeAt returns the physical address of the page-table node that a walk

@@ -126,7 +126,7 @@ func TestWalkFullTrace(t *testing.T) {
 	tbl, _ := newTable(t)
 	va := arch.VirtAddr(0x7f0012345000)
 	tbl.Map(va, 0xABC000, 0)
-	accesses, pa, found := tbl.WalkFull(va + 0x10)
+	accesses, pa, _, found := tbl.WalkAppend(nil, va+0x10, tbl.Levels(), tbl.Root())
 	if !found {
 		t.Fatal("walk did not find mapping")
 	}
@@ -151,7 +151,7 @@ func TestWalkFullTrace(t *testing.T) {
 
 func TestWalkStopsAtNonPresent(t *testing.T) {
 	tbl, _ := newTable(t)
-	accesses, _, found := tbl.WalkFull(0x1000)
+	accesses, _, _, found := tbl.WalkAppend(nil, 0x1000, tbl.Levels(), tbl.Root())
 	if found {
 		t.Fatal("walk found mapping in empty table")
 	}
@@ -168,7 +168,7 @@ func TestWalkFromPWCNode(t *testing.T) {
 	if !ok {
 		t.Fatal("NodeAt(1) failed")
 	}
-	accesses, pa, found := tbl.Walk(va, 1, leafNode)
+	accesses, pa, _, found := tbl.WalkAppend(nil, va, 1, leafNode)
 	if !found || pa != 0xABC000 {
 		t.Fatalf("PWC walk: pa=%#x found=%v", pa, found)
 	}
@@ -343,9 +343,10 @@ func BenchmarkWalkFull(b *testing.B) {
 	for i := 0; i < 1024; i++ {
 		tbl.Map(arch.VirtAddr(i)<<arch.PageShift, 0x100000, 0)
 	}
+	var buf []Access
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tbl.WalkFull(arch.VirtAddr(i%1024) << arch.PageShift)
+		buf, _, _, _ = tbl.WalkAppend(buf[:0], arch.VirtAddr(i%1024)<<arch.PageShift, tbl.Levels(), tbl.Root())
 	}
 }
 
@@ -371,7 +372,7 @@ func TestFiveLevelTable(t *testing.T) {
 	if tbl.NodeCount() != 5 {
 		t.Errorf("NodeCount = %d, want 5", tbl.NodeCount())
 	}
-	accesses, _, found := tbl.WalkFull(va)
+	accesses, _, _, found := tbl.WalkAppend(nil, va, tbl.Levels(), tbl.Root())
 	if !found || len(accesses) != 5 {
 		t.Errorf("walk: found=%v accesses=%d, want 5", found, len(accesses))
 	}
@@ -404,7 +405,7 @@ func TestWalkBadStartLevelPanics(t *testing.T) {
 			t.Error("bad start level did not panic")
 		}
 	}()
-	tbl.Walk(0x1000, 9, tbl.Root())
+	tbl.WalkAppend(nil, 0x1000, 9, tbl.Root())
 }
 
 func TestWalkUnknownNodePanics(t *testing.T) {
@@ -414,7 +415,7 @@ func TestWalkUnknownNodePanics(t *testing.T) {
 			t.Error("unknown node did not panic")
 		}
 	}()
-	tbl.Walk(0x1000, 1, 0xDEAD000)
+	tbl.WalkAppend(nil, 0x1000, 1, 0xDEAD000)
 }
 
 func TestSetFlagsOnLargeRegionFails(t *testing.T) {

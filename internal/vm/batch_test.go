@@ -99,6 +99,46 @@ func TestBatchedRunMatchesAdapterRun(t *testing.T) {
 	}
 }
 
+// TestRunChunkAllocationsFlat pins the allocation-free hot loop: on a warmed
+// machine, a RunWith chunk of 64k accesses allocates no more than one of 4k.
+// Per-call setup (the options) is the same for both; anything allocated per
+// scheduler round, per batch or per walk would grow sixteenfold. Quantum 2
+// is the experiment machines' quantum, so rounds are as frequent as in the
+// sweeps.
+func TestRunChunkAllocationsFlat(t *testing.T) {
+	cfg := smallConfig(guestos.PolicyPTEMagnet)
+	cfg.Quantum = 2
+	m, err := NewHost(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.AddTask(workload.NewPagerank(workload.GraphConfig{
+		DatasetBytes: 8 << 20, Accesses: 1_000_000, Seed: 3,
+	}), RolePrimary); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	chunk := func(n uint64) {
+		if err := m.RunWith(ctx, WithStopAtAccesses(m.TotalAccesses()+n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm up past initialization, after which pagerank touches only
+	// mapped pages: no fault grows a page table or a free list.
+	for !m.primariesInitDone() {
+		chunk(4 << 10)
+	}
+	chunk(16 << 10)
+	short := testing.AllocsPerRun(3, func() { chunk(4 << 10) })
+	long := testing.AllocsPerRun(3, func() { chunk(64 << 10) })
+	if m.PendingPrimaries() == 0 {
+		t.Fatal("primary finished during measurement; chunks measured an idle machine")
+	}
+	if long > short {
+		t.Errorf("a 64k-access chunk allocates %.0f times, a 4k one %.0f: the hot loop allocates per round or per walk", long, short)
+	}
+}
+
 // TestMaxAccessesBoundary pins the budget semantics: the run errors as soon
 // as the executed access count reaches the budget, not one quantum later.
 func TestMaxAccessesBoundary(t *testing.T) {

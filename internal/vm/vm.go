@@ -220,6 +220,9 @@ type TaskSpec struct {
 type Task struct {
 	spec  TaskSpec
 	batch workload.BatchProgram
+	// env is the task's workload.Env, boxed once at AddTask so the
+	// scheduler loop passes it to StepBatch without allocating.
+	env   workload.Env
 	guest *Guest
 	proc  *guestos.Process
 	cpu   int
@@ -625,8 +628,9 @@ func (g *Guest) AddTask(prog workload.Program, role Role) (*Task, error) {
 		proc:  proc,
 		cpu:   (g.index + len(g.tasks)) % m.cfg.NumCPUs,
 		index: len(m.tasks),
+		env:   env{g: g, proc: proc},
 	}
-	if err := prog.Setup(env{g: g, proc: proc}); err != nil {
+	if err := prog.Setup(t.env); err != nil {
 		return nil, err
 	}
 	g.tasks = append(g.tasks, t)
@@ -725,7 +729,7 @@ func (m *Machine) RunWith(ctx context.Context, opts ...RunOpt) error {
 	// determined by the configuration, never by host goroutine timing.
 	// Primaries-left is recomputed each round (rather than decremented)
 	// because events may add or destroy whole guests between rounds.
-	for len(m.pendingPrimaries()) > 0 {
+	for m.PendingPrimaries() > 0 {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("vm: run canceled: %w", err)
 		}
@@ -757,7 +761,7 @@ func (m *Machine) RunWith(ctx context.Context, opts ...RunOpt) error {
 			}
 		}
 		if !progressed {
-			return fmt.Errorf("vm: scheduler stalled with %d primaries left", len(m.pendingPrimaries()))
+			return fmt.Errorf("vm: scheduler stalled with %d primaries left", m.PendingPrimaries())
 		}
 		if !m.steadySnapTaken && m.primariesInitDone() {
 			m.steadySnapTaken = true
@@ -796,21 +800,18 @@ func (m *Machine) TotalAccesses() uint64 { return m.totalAccesses }
 
 // PendingPrimaries returns how many primary tasks have not finished. A
 // paused run (WithStopAtAccesses) left work behind iff this is nonzero.
-func (m *Machine) PendingPrimaries() int { return len(m.pendingPrimaries()) }
+func (m *Machine) PendingPrimaries() int {
+	n := 0
+	for _, t := range m.tasks {
+		if t.spec.Role == RolePrimary && !t.done {
+			n++
+		}
+	}
+	return n
+}
 
 // HostConfig returns the machine's resolved host configuration.
 func (m *Machine) HostConfig() HostConfig { return m.cfg }
-
-// pendingPrimaries returns the primary tasks that have not finished.
-func (m *Machine) pendingPrimaries() []*Task {
-	var out []*Task
-	for _, t := range m.tasks {
-		if t.spec.Role == RolePrimary && !t.done {
-			out = append(out, t)
-		}
-	}
-	return out
-}
 
 func countPrimaries(tasks []*Task) int {
 	n := 0
@@ -846,14 +847,13 @@ func (m *Machine) primariesInitDone() bool {
 // from the workload in batches (capped at the scratch-buffer size) and
 // running each batch through the hardware pipeline.
 func (m *Machine) runQuantum(t *Task) error {
-	e := env{g: t.guest, proc: t.proc}
 	remaining := m.cfg.Quantum
 	for remaining > 0 {
 		limit := remaining
 		if limit > len(m.accBuf) {
 			limit = len(m.accBuf)
 		}
-		n, done := t.batch.StepBatch(e, m.accBuf[:limit])
+		n, done := t.batch.StepBatch(t.env, m.accBuf[:limit])
 		if n > 0 {
 			if err := m.execBatch(t, m.accBuf[:n]); err != nil {
 				return err

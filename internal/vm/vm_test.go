@@ -61,6 +61,48 @@ func TestRunSoloBenchmark(t *testing.T) {
 	}
 }
 
+// TestForkThenWriteCountsEveryWalk forks the primary's process after
+// initialization, so its steady-phase writes hit copy-on-write pages: each
+// such walk ends in a write-permission guest fault. Every walk, faulting or
+// not, must land in the latency histogram.
+func TestForkThenWriteCountsEveryWalk(t *testing.T) {
+	m, err := NewHost(smallConfig(guestos.PolicyDefault))
+	if err != nil {
+		t.Fatal(err)
+	}
+	task, err := m.AddTask(workload.NewPagerank(smallGraph(5)), RolePrimary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for !m.primariesInitDone() {
+		if err := m.RunWith(ctx, WithStopAtAccesses(m.TotalAccesses()+1000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := task.Process().Fork("child"); err != nil {
+		t.Fatal(err)
+	}
+	// Fork write-protected the parent's pages; drop its cached writable
+	// translations as the fork's TLB shootdown would.
+	g := m.Guests()[0]
+	g.Walker().InvalidateASID(task.Process().ASID())
+	if err := m.RunWith(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if cow := g.Kernel().Snapshot().Faults[guestos.FaultCOW]; cow == 0 {
+		t.Fatal("no COW fault after fork; the write-fault walk was not exercised")
+	}
+	s := g.Walker().Snapshot()
+	var hist uint64
+	for _, c := range s.WalkHist {
+		hist += c
+	}
+	if hist != s.Walks {
+		t.Errorf("walks = %d, Σ walk_hist = %d", s.Walks, hist)
+	}
+}
+
 func TestRunWithoutPrimaryFails(t *testing.T) {
 	m, _ := NewHost(smallConfig(guestos.PolicyDefault))
 	if _, err := m.AddTask(workload.NewPyaes(workload.CorunnerConfig{FootprintBytes: 1 << 20}), RoleCorunner); err != nil {
